@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/runner"
+	"repro/internal/vfs"
 )
 
 // benchCmd is the `ufsim bench` subcommand: it runs the performance
@@ -69,7 +69,7 @@ func benchCmd(args []string) {
 
 	// Persist even a failing run: the regressed numbers are the
 	// evidence the failure message points at.
-	if err := runner.WriteFileAtomic(path, func(w io.Writer) error {
+	if err := vfs.WriteFileAtomic(vfs.OS{}, path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
@@ -126,7 +126,7 @@ func benchCompareCmd(args []string) {
 	delta := bench.Compare(base, cur, *nsTol, *bytesTol)
 
 	if *out != "" {
-		if err := runner.WriteFileAtomic(*out, func(w io.Writer) error {
+		if err := vfs.WriteFileAtomic(vfs.OS{}, *out, func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			return enc.Encode(delta)

@@ -71,6 +71,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
+	"repro/internal/vfs"
 )
 
 // Exit codes, uniform across subcommands: 0 success, 1 completed with
@@ -231,7 +232,7 @@ func emit(rep runner.Report, out string) {
 // file that is renamed into place only on success, so a failed or
 // interrupted Render never leaves a truncated <id>.txt behind.
 func writeReport(dir string, rep runner.Report) error {
-	return runner.WriteFileAtomic(filepath.Join(dir, rep.ID+".txt"), func(w io.Writer) error {
+	return vfs.WriteFileAtomic(vfs.OS{}, filepath.Join(dir, rep.ID+".txt"), func(w io.Writer) error {
 		return rep.Result.Render(w)
 	})
 }

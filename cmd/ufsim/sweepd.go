@@ -64,8 +64,6 @@ func serveCmd(args []string) int {
 		herd      = fs.Bool("herd", false, "release all loopback workers at the same instant (thundering-herd testing)")
 		batch     = fs.Bool("batch", false, "loopback workers deliver completions as per-round batches")
 		drainFor  = fs.Duration("drain", 5*time.Second, "HTTP shutdown drain deadline")
-
-		legacyState = fs.Bool("legacy-state", false, "persist state as the pre-journal sweep-state.json full rewrite (interop only)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ufsim serve [-addr :7733 | -loopback N] [-experiment all] [-artifacts DIR] [-resume] ...")
@@ -104,7 +102,6 @@ func serveCmd(args []string) int {
 		StateDir:        *artifacts,
 		Resume:          *resume,
 		FS:              stateFS,
-		LegacyState:     *legacyState,
 		Log:             os.Stderr,
 	}, units)
 	if err != nil {

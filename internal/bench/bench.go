@@ -106,7 +106,6 @@ func Cases() []Case {
 		{Name: "sweepd-loopback", Long: true, Fn: benchSweepdLoopback},
 		{Name: "sweepd-complete-batched", Long: true, Fn: benchSweepdCompleteBatched},
 		{Name: "sweepd-journal-append-512", Long: true, Fn: benchSweepdJournalAppend},
-		{Name: "sweepd-rewrite-512", Long: true, Fn: benchSweepdRewrite},
 	}
 }
 
@@ -372,8 +371,9 @@ func benchTrialSettle(b *testing.B) {
 // benchSweepdLoopback load-tests the distributed-sweep coordination
 // path: one op is a whole 64-unit sweep pushed through the coordinator
 // by four loopback workers with trivial unit bodies, so the number is
-// pure protocol overhead — lease grants, heartbeat bookkeeping,
-// completion merges, and state transitions — not experiment time.
+// pure protocol overhead — the in-process HTTP/JSON round trips, lease
+// grants, heartbeat bookkeeping, completion merges, and state
+// transitions — not experiment time.
 func benchSweepdLoopback(b *testing.B) { benchSweepdFleet(b, false) }
 
 // benchSweepdCompleteBatched is the same sweep with batched completion
@@ -413,10 +413,11 @@ func benchSweepdFleet(b *testing.B, batch bool) {
 		var gate *sweepd.Gate
 		if batch {
 			// A wide-open gate (nothing queues, nothing sheds) rides along
-			// purely as the RPC counter: its complete-endpoint admissions
-			// are exactly the completion round trips. The unbatched case
-			// is 1/unit by construction, so the reported metric below is
-			// the pipelining win.
+			// purely as the RPC counter: it fronts the coordinator's
+			// handler, so its complete-endpoint admissions are exactly the
+			// completion round trips the server received. The unbatched
+			// case is 1/unit by construction, so the reported metric
+			// below is the pipelining win.
 			gate = sweepd.NewGate(sweepd.GateConfig{
 				Default: sweepd.GateLimits{Inflight: 4096, Queue: 4096, QueueWait: time.Minute},
 			})
@@ -437,14 +438,11 @@ func benchSweepdFleet(b *testing.B, batch bool) {
 	}
 }
 
-// benchSweepdPersist times one persisted unit transition — lease plus
-// completion merge — on a 512-unit coordinator backed by the in-memory
-// crash-model filesystem (so the number is serialization and protocol,
-// not platter latency). The journal variant appends one framed record
-// per transition; the legacy variant rewrites the whole 512-entry state
-// document. The gap between the two cases is the tentpole's O(units) →
-// O(1) claim, measured.
-func benchSweepdPersist(b *testing.B, legacy bool) {
+// benchSweepdJournalAppend times one persisted unit transition — lease
+// plus completion merge, one framed journal record — on a 512-unit
+// coordinator backed by the in-memory crash-model filesystem (so the
+// number is serialization and protocol, not platter latency).
+func benchSweepdJournalAppend(b *testing.B) {
 	units := make([]sweepd.Unit, 512)
 	for i := range units {
 		units[i] = sweepd.Unit{
@@ -454,14 +452,13 @@ func benchSweepdPersist(b *testing.B, legacy bool) {
 	}
 	newCoord := func() *sweepd.Coordinator {
 		c, err := sweepd.NewCoordinator(sweepd.CoordinatorConfig{
-			Clock:       sweepd.NewManualClock(time.Unix(0, 0)),
-			LeaseTTL:    time.Hour,
-			StateDir:    "state",
-			FS:          faults.NewDiskFS(1),
-			LegacyState: legacy,
-			// Never compact mid-run: the journal case measures the pure
-			// append path (compaction cost amortizes to ~zero at this
-			// cadence anyway).
+			Clock:    sweepd.NewManualClock(time.Unix(0, 0)),
+			LeaseTTL: time.Hour,
+			StateDir: "state",
+			FS:       faults.NewDiskFS(1),
+			// Never compact mid-run: measure the pure append path
+			// (compaction cost amortizes to ~zero at this cadence
+			// anyway).
 			SnapshotEvery: 1 << 30,
 		}, units)
 		if err != nil {
@@ -490,6 +487,3 @@ func benchSweepdPersist(b *testing.B, legacy bool) {
 		idx++
 	}
 }
-
-func benchSweepdJournalAppend(b *testing.B) { benchSweepdPersist(b, false) }
-func benchSweepdRewrite(b *testing.B)       { benchSweepdPersist(b, true) }

@@ -15,9 +15,8 @@ import (
 // verdicts (drop the request, drop the response, duplicate, delay),
 // opens partition windows during which a worker's every call fails, and
 // schedules mid-trial worker kills. The plan is pure decision logic: it
-// never touches sockets, so the same plan drives the in-process
-// loopback transport in tests and could front a real HTTP client
-// unchanged (sweepd.FaultyClient does the wrapping).
+// never touches sockets; sweepd applies it as an http.RoundTripper
+// under the workers' HTTP client in in-process fleets.
 //
 // Determinism: each worker gets its own sim.Rand stream split from the
 // plan seed by a stable hash of the worker ID. A worker's verdict

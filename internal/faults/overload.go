@@ -15,9 +15,9 @@ import (
 // eternity while barely making progress), and herd synchronization
 // (every worker released at the same instant, see
 // sweepd.FleetConfig.HerdStart). Like NetPlan it is pure decision
-// logic: it returns per-call stall durations and never touches sockets,
-// so the same plan drives loopback fleets in tests and could shape a
-// real HTTP client unchanged (sweepd.LatencyClient does the wrapping).
+// logic: it returns per-call stall durations and never touches sockets;
+// sweepd applies it as an http.RoundTripper under the workers' HTTP
+// client in in-process fleets, stalling each request body's first read.
 //
 // Determinism: each worker draws from its own sim.Rand stream split
 // from the plan seed by a stable hash of the worker ID, so a chaos

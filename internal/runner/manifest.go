@@ -109,16 +109,3 @@ func (m *manifest) record(rep Report) error {
 		return err
 	})
 }
-
-// WriteFileAtomic writes a file on the real filesystem via a temp file
-// in the same directory and a rename, so readers never observe a
-// truncated file and a failed write leaves no partial artifact behind.
-// It is vfs.WriteFileAtomic pinned to vfs.OS — the temp file is fsynced
-// before the rename and the parent directory is fsynced after it, so a
-// completed call survives power loss (the rename alone is just a
-// directory entry until the directory's metadata reaches disk). Code
-// that can run under an injected filesystem should call
-// vfs.WriteFileAtomic directly.
-func WriteFileAtomic(path string, write func(w io.Writer) error) error {
-	return vfs.WriteFileAtomic(vfs.OS{}, path, write)
-}

@@ -1,60 +1,12 @@
 package runner
 
 import (
-	"errors"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/vfs"
 )
-
-// TestWriteFileAtomicCrashMidWrite: a writer that dies partway through
-// (simulating a crash or error mid-write) must leave the previous file
-// contents untouched and no temp litter behind — the torn write is
-// confined to a temp name that never becomes visible.
-func TestWriteFileAtomicCrashMidWrite(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "manifest.json")
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := io.WriteString(w, `{"generation": 1}`)
-		return err
-	}); err != nil {
-		t.Fatalf("seed write: %v", err)
-	}
-
-	boom := errors.New("crash mid-write")
-	err := WriteFileAtomic(path, func(w io.Writer) error {
-		// Half the new content lands, then the process "dies".
-		if _, err := io.WriteString(w, `{"generation": 2, "experiments": {`); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("mid-write failure not surfaced: %v", err)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading after failed write: %v", err)
-	}
-	if string(data) != `{"generation": 1}` {
-		t.Fatalf("previous contents torn by failed write: %q", data)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") {
-			t.Fatalf("temp litter left behind: %s", e.Name())
-		}
-	}
-}
 
 // TestWriteFileAtomicPowerFailAfterRename: the rename alone is not
 // durability — it is a directory entry that can be lost on power
@@ -112,34 +64,5 @@ func TestWriteFileAtomicPowerFailAfterRename(t *testing.T) {
 		default:
 			t.Fatalf("boundary %d: torn manifest %q", k, data)
 		}
-	}
-}
-
-// TestWriteFileAtomicReplaces: the happy path replaces the file in one
-// step with world-readable mode.
-func TestWriteFileAtomicReplaces(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "report.txt")
-	for i, content := range []string{"first", "second"} {
-		if err := WriteFileAtomic(path, func(w io.Writer) error {
-			_, err := io.WriteString(w, content)
-			return err
-		}); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != content {
-			t.Fatalf("write %d read back %q", i, data)
-		}
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Mode().Perm() != 0o644 {
-		t.Fatalf("mode = %v, want 0644", info.Mode().Perm())
 	}
 }

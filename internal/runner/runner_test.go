@@ -3,9 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -300,32 +298,5 @@ func TestResumeIgnoresMismatchedManifest(t *testing.T) {
 	}
 	if sum.Cached != 0 || n.Load() != 2 {
 		t.Fatalf("mismatched-seed resume reused the manifest (cached=%d runs=%d)", sum.Cached, n.Load())
-	}
-}
-
-func TestWriteFileAtomicLeavesNoPartials(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "report.txt")
-	boom := errors.New("render exploded")
-	err := WriteFileAtomic(path, func(w io.Writer) error {
-		w.Write([]byte("half a rep"))
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("WriteFileAtomic error = %v, want the render error", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("failed write left %d files behind (%v)", len(entries), entries)
-	}
-	if err := WriteFileAtomic(path, func(w io.Writer) error { _, err := w.Write([]byte("whole\n")); return err }); err != nil {
-		t.Fatalf("successful write: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "whole\n" {
-		t.Fatalf("read back %q, %v", data, err)
 	}
 }

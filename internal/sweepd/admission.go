@@ -10,10 +10,10 @@ package sweepd
 // endpoint, so a thundering herd of workers degrades into orderly
 // queueing and shedding instead of lock convoys and memory blowup.
 //
-// The same Gate fronts both transports: the HTTP server acquires it in
-// middleware (shed = 429 + Retry-After), and AdmittedClient acquires it
-// around the in-process loopback transport, so the chaos tests exercise
-// the identical admission path CI's HTTP fleets run behind. Pressure —
+// The HTTP server acquires the Gate in middleware (shed = 429 +
+// Retry-After). In-process fleets call that same handler, so the chaos
+// tests exercise the identical admission path CI's HTTP fleets run
+// behind. Pressure —
 // the fullest endpoint queue, in [0, 1] — also feeds the coordinator's
 // adaptive lease RetryAfterMillis: polls stretch as load climbs
 // (brownout) long before anything has to be refused outright
@@ -26,9 +26,8 @@ import (
 	"time"
 )
 
-// Endpoint names used by the admission gate. The HTTP handlers and the
-// loopback AdmittedClient share them, so shed/inflight counters mean
-// the same thing on both transports.
+// Endpoint names used by the admission gate's per-endpoint limits and
+// counters; the HTTP route map assigns each protocol POST to one.
 const (
 	EndpointLease     = "lease"
 	EndpointHeartbeat = "heartbeat"
@@ -45,8 +44,7 @@ func gateEndpoints() []string {
 // OverloadError is the shed verdict: the request was refused (or timed
 // out queued) under load and should be retried after RetryAfter. The
 // HTTP server renders it as 429 + Retry-After; HTTPClient parses that
-// back into the same type, so workers honor the hint identically over
-// loopback and the network.
+// back into the same type for the worker's backoff.
 type OverloadError struct {
 	Endpoint   string
 	RetryAfter time.Duration

@@ -48,7 +48,8 @@ type CoordinatorConfig struct {
 	// Clock supplies time; nil means the wall clock.
 	Clock Clock
 	// StateDir, when non-empty, receives the crash-proof sweep state
-	// (sweep-state.json), per-unit crash/quarantine artifacts, and the
+	// (journal-manifest.json naming the live snapshot-<gen>.json and
+	// journal-<gen>.wal), per-unit crash/quarantine artifacts, and the
 	// merged manifest (manifest.json). Empty keeps everything in
 	// memory.
 	StateDir string
@@ -61,10 +62,6 @@ type CoordinatorConfig struct {
 	// means the real one (vfs.OS). Tests and chaos runs inject the
 	// fault-driven filesystems from internal/faults here.
 	FS vfs.FS
-	// LegacyState keeps the pre-journal checkpoint format: the whole
-	// sweep-state.json rewritten on every transition. O(units) I/O per
-	// transition — only for interop with tooling that reads that file.
-	LegacyState bool
 	// SnapshotEvery is how many journal records accumulate before a
 	// compaction folds them into a snapshot; zero means
 	// max(256, 4×units).
@@ -169,8 +166,8 @@ type Coordinator struct {
 	order    []UnitID
 	rng      *sim.Rand
 	draining bool
-	// store is the durable journal (nil with LegacyState or no
-	// StateDir); salvage records a lossy recovery at open.
+	// store is the durable journal (nil without StateDir); salvage
+	// records a lossy recovery at open.
 	store   *journalStore
 	salvage *SalvageReport
 	// persistFails counts consecutive failed checkpoint transitions;
@@ -189,8 +186,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over the unit grid. With
-// cfg.Resume set and a matching sweep-state.json in cfg.StateDir,
-// terminal outcomes are restored so only unfinished units run.
+// cfg.Resume set and matching durable state in cfg.StateDir, terminal
+// outcomes are restored so only unfinished units run.
 func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -215,32 +212,17 @@ func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 		}
 	}
 	if cfg.StateDir != "" {
-		if cfg.LegacyState {
-			if err := c.cfg.FS.MkdirAll(cfg.StateDir, 0o755); err != nil {
-				return nil, fmt.Errorf("sweepd: state dir: %w", err)
-			}
-			if cfg.Resume {
-				restored, err := c.restoreState()
-				if err != nil {
-					return nil, err
-				}
-				if restored > 0 {
-					fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s\n", restored, cfg.StateDir)
-				}
-			}
-		} else {
-			store, entries, salvage, err := openJournal(c.cfg.FS, cfg.StateDir, cfg.Resume, cfg.Log)
-			if err != nil {
-				return nil, err
-			}
-			c.store = store
-			c.salvage = salvage
-			c.mu.Lock()
-			restored := c.applyEntriesLocked(entries)
-			c.mu.Unlock()
-			if restored > 0 {
-				fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s (journal generation %d)\n", restored, cfg.StateDir, store.gen)
-			}
+		store, entries, salvage, err := openJournal(c.cfg.FS, cfg.StateDir, cfg.Resume, cfg.Log)
+		if err != nil {
+			return nil, err
+		}
+		c.store = store
+		c.salvage = salvage
+		c.mu.Lock()
+		restored := c.applyEntriesLocked(entries)
+		c.mu.Unlock()
+		if restored > 0 {
+			fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s (journal generation %d)\n", restored, cfg.StateDir, store.gen)
 		}
 	}
 	c.mu.Lock()
@@ -351,14 +333,10 @@ func (c *Coordinator) Lease(req LeaseRequest) LeaseResponse {
 			retry = time.Duration(float64(retry) * (1 + 3*c.gate.Pressure()))
 		}
 		resp.RetryAfterMillis = retry.Milliseconds()
-	} else if c.store == nil {
-		// Legacy checkpoint: the full rewrite happens on every
-		// transition, grants included. In journal mode a grant is
-		// durably a no-op — a leased unit persists as pending (a
-		// restarted coordinator cannot honor epochs it never granted) —
-		// so the journal appends nothing and leasing costs zero I/O.
-		c.persistLocked()
 	}
+	// A grant persists nothing: a leased unit is durably still pending
+	// (a restarted coordinator cannot honor epochs it never granted), so
+	// leasing costs zero I/O.
 	return resp
 }
 
@@ -415,9 +393,9 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 }
 
 // CompleteBatch merges several outcomes from one worker under a single
-// lock acquisition, one reap, and — in journal mode — one group-commit
-// fsync, so a herd of finishing workers costs one round trip per worker
-// instead of one per unit. Per-entry semantics are exactly Complete's.
+// lock acquisition, one reap, and one group-commit journal fsync, so a
+// herd of finishing workers costs one round trip per worker instead of
+// one per unit. Per-entry semantics are exactly Complete's.
 func (c *Coordinator) CompleteBatch(req CompleteBatchRequest) CompleteBatchResponse {
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
@@ -519,12 +497,9 @@ func (c *Coordinator) Release(req ReleaseRequest) ReleaseResponse {
 		n++
 	}
 	if n > 0 {
+		// Durably a no-op: a released unit goes back to exactly the
+		// pending entry already on disk.
 		fmt.Fprintf(c.cfg.Log, "sweepd: %s released %d lease(s) (%s)\n", req.Worker, n, req.Reason)
-		if c.store == nil {
-			// Durably a no-op in journal mode: a released unit goes
-			// back to exactly the pending entry already on disk.
-			c.persistLocked()
-		}
 	}
 	return ReleaseResponse{Released: n}
 }
@@ -558,14 +533,10 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		c.benchLocked(r, now, r.expiries)
 	}
 	if len(changed) > 0 {
-		if c.store == nil {
-			c.persistLocked()
-		} else {
-			// An expiry charges the unit's budget (and may quarantine
-			// it) — that is real state, one journal record per unit.
-			for _, r := range changed {
-				c.persistUnitLocked(r)
-			}
+		// An expiry charges the unit's budget (and may quarantine it) —
+		// that is real state, one journal record per unit.
+		for _, r := range changed {
+			c.persistUnitLocked(r)
 		}
 		c.checkDoneLocked()
 	}

@@ -153,32 +153,6 @@ func TestPersistFailureCounterResets(t *testing.T) {
 	broken.Store(false)
 }
 
-// TestLegacyPersistEscalates is the satellite contract: the pre-journal
-// full-rewrite path shares the escalation policy — repeated checkpoint
-// failures stop the sweep rather than scrolling warnings.
-func TestLegacyPersistEscalates(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	broken := &atomic.Bool{}
-	c := newTestCoordinator(t, clk, func(cfg *CoordinatorConfig) {
-		cfg.StateDir = t.TempDir()
-		cfg.FS = flakyFS{vfs.OS{}, broken}
-		cfg.LegacyState = true
-		cfg.PersistFailLimit = 2
-	}, testUnits(5))
-
-	completeOne(t, c, "w")
-	broken.Store(true)
-	// Legacy mode checkpoints on the grant AND the completion, so one
-	// lease+complete cycle is two failed transitions.
-	completeOne(t, c, "w")
-	if deg, _ := c.Degraded(); !deg {
-		t.Fatal("legacy persist failures did not degrade the coordinator")
-	}
-	if resp := c.Lease(LeaseRequest{Worker: "w", Max: 1}); !resp.Degraded {
-		t.Fatalf("degraded legacy coordinator granted a lease: %+v", resp)
-	}
-}
-
 // TestCoordinatorSalvageExposed: a lossy journal recovery surfaces
 // through Coordinator.Salvage and leaves the report on disk, while the
 // sweep still resumes from the snapshot.
@@ -225,17 +199,14 @@ func TestCoordinatorSalvageExposed(t *testing.T) {
 }
 
 // TestCoordinatorCorruptLegacyResume: NewCoordinator over a damaged
-// legacy sweep-state.json fails loudly in both journal (migration) and
-// legacy modes.
+// pre-journal sweep-state.json fails loudly instead of migrating it.
 func TestCoordinatorCorruptLegacyResume(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": [{"truncated`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cfg := CoordinatorConfig{StateDir: dir, Resume: true, LegacyState: legacy}
-		if _, err := NewCoordinator(cfg, testUnits(1)); err == nil {
-			t.Fatalf("legacy=%v: corrupt state resumed silently", legacy)
-		}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": [{"truncated`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := CoordinatorConfig{StateDir: dir, Resume: true}
+	if _, err := NewCoordinator(cfg, testUnits(1)); err == nil {
+		t.Fatal("corrupt state resumed silently")
 	}
 }

@@ -27,9 +27,10 @@ type ServerConfig struct {
 
 // NewServer exposes the coordinator over HTTP/JSON: the protocol POSTs
 // plus a human-facing GET /v1/status. Handlers are thin — all semantics
-// (reaping, fencing, idempotency) live in the Coordinator, so the HTTP
-// and loopback transports cannot drift apart. Every handler is wrapped
-// in panic recovery and, when cfg.Gate is set, admission control.
+// (reaping, fencing, idempotency) live in the Coordinator — and they are
+// the only way in: in-process fleets call this same handler. Every
+// handler is wrapped in panic recovery and, when cfg.Gate is set,
+// admission control.
 func NewServer(c *Coordinator, cfg ServerConfig) http.Handler {
 	log := cfg.Log
 	if log == nil {
@@ -178,8 +179,9 @@ func NewHTTPServer(addr string, h http.Handler, t HTTPTimeouts) *http.Server {
 	}
 }
 
-// HTTPClient speaks the coordinator protocol over the network; it is
-// what `ufsim worker -coordinator URL` runs on.
+// HTTPClient speaks the coordinator protocol; it is what
+// `ufsim worker -coordinator URL` runs on, and, over an in-process
+// transport, what RunFleet's workers run on.
 type HTTPClient struct {
 	// Base is the coordinator URL, e.g. "http://sweep-host:7733".
 	Base string
@@ -195,8 +197,7 @@ func (h *HTTPClient) client() *http.Client {
 }
 
 // post delivers one JSON request and decodes the JSON response. A 429
-// comes back as an *OverloadError carrying the server's retry hint, so
-// worker backoff treats network-shed and loopback-shed identically.
+// comes back as an *OverloadError carrying the server's retry hint.
 func (h *HTTPClient) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {

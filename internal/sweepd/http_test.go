@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // TestHTTPServerSlowLorisClosed: NewHTTPServer's ReadHeaderTimeout
@@ -113,70 +116,156 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestHTTP429PropagatesOverloadError: a shed request comes back over
-// the wire as 429 + Retry-After + JSON hint, and HTTPClient rebuilds
-// the same *OverloadError the loopback transport would have returned —
-// so worker backoff cannot tell the transports apart.
+// TestHTTP429PropagatesOverloadError: a shed request comes back as
+// 429 + Retry-After + JSON hint, and HTTPClient rebuilds the gate's
+// *OverloadError from it — over a real listener and over the in-process
+// transport alike, so worker backoff cannot tell the transports apart.
 func TestHTTP429PropagatesOverloadError(t *testing.T) {
-	c, err := NewCoordinator(CoordinatorConfig{}, testUnits(2))
+	for _, transport := range []string{"listener", "in-process"} {
+		t.Run(transport, func(t *testing.T) {
+			c, err := NewCoordinator(CoordinatorConfig{}, testUnits(2))
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			gate := NewGate(GateConfig{
+				PerEndpoint: map[string]GateLimits{
+					EndpointLease: {Inflight: 1, Queue: 1, QueueWait: time.Minute},
+				},
+			})
+			h := NewServer(c, ServerConfig{Gate: gate})
+			base, httpc := "http://loopback", &http.Client{Transport: handlerTransport{h: h}}
+			if transport == "listener" {
+				srv := httptest.NewServer(h)
+				defer srv.Close()
+				base, httpc = srv.URL, http.DefaultClient
+			}
+
+			// Saturate lease admission from inside: hold the slot and the queue.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rel, err := gate.Acquire(ctx, EndpointLease)
+			if err != nil {
+				t.Fatalf("holding the slot: %v", err)
+			}
+			defer rel()
+			go gate.Acquire(ctx, EndpointLease)
+			waitForQueued(t, gate, EndpointLease, 1)
+
+			// Raw HTTP first: the response shape is part of the protocol.
+			resp, err := httpc.Post(base+"/v1/lease", "application/json", strings.NewReader(`{"worker":"w","max":1}`))
+			if err != nil {
+				t.Fatalf("POST /v1/lease: %v", err)
+			}
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("shed request answered %s, want 429", resp.Status)
+			}
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After header")
+			}
+			var sb shedBody
+			if err := json.NewDecoder(resp.Body).Decode(&sb); err != nil || sb.RetryAfterMS <= 0 {
+				t.Fatalf("shed body %+v (err %v), want a positive retry_after_ms", sb, err)
+			}
+			resp.Body.Close()
+
+			// Now through HTTPClient: the typed error round-trips.
+			hc := &HTTPClient{Base: base, HTTP: httpc}
+			_, err = hc.Lease(context.Background(), LeaseRequest{Worker: "w", Max: 1})
+			var oe *OverloadError
+			if !errors.As(err, &oe) {
+				t.Fatalf("HTTPClient.Lease returned %v, want *OverloadError", err)
+			}
+			if oe.Endpoint != "lease" {
+				t.Fatalf("rebuilt endpoint %q, want lease", oe.Endpoint)
+			}
+			// Queue is saturated, so the server hint is 1.25×QueueWait; the
+			// client must carry the body's precise value, not the coarse header.
+			if want := time.Duration(sb.RetryAfterMS) * time.Millisecond; oe.RetryAfter != want {
+				t.Fatalf("rebuilt RetryAfter %v, want the body hint %v", oe.RetryAfter, want)
+			}
+
+			// Heartbeat is a different endpoint and stays open.
+			if _, err := hc.Heartbeat(context.Background(), HeartbeatRequest{Worker: "w"}); err != nil {
+				t.Fatalf("heartbeat while lease overloaded: %v", err)
+			}
+		})
+	}
+}
+
+// bodyRecorder wraps a handler and keeps every request body it serves.
+type bodyRecorder struct {
+	next   http.Handler
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func (b *bodyRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	gate := NewGate(GateConfig{
-		PerEndpoint: map[string]GateLimits{
-			EndpointLease: {Inflight: 1, Queue: 1, QueueWait: time.Minute},
-		},
-	})
-	srv := httptest.NewServer(NewServer(c, ServerConfig{Gate: gate}))
-	defer srv.Close()
+	b.mu.Lock()
+	b.bodies = append(b.bodies, body)
+	b.mu.Unlock()
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	b.next.ServeHTTP(w, r)
+}
 
-	// Saturate lease admission from inside: hold the slot and the queue.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rel, err := gate.Acquire(ctx, EndpointLease)
-	if err != nil {
-		t.Fatalf("holding the slot: %v", err)
-	}
-	defer rel()
-	go gate.Acquire(ctx, EndpointLease)
-	waitForQueued(t, gate, EndpointLease, 1)
+// TestNetFaultTransportCompleteOnce drives one Complete through the
+// net-fault transport. A duplicate verdict delivers byte-identical
+// bodies twice and the coordinator merges once, acking the second
+// delivery idempotently; a dropped response still merges the unit
+// while the caller sees ErrInjectedNetFault.
+func TestNetFaultTransportCompleteOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cfg        faults.NetConfig
+		deliveries int
+	}{
+		{"duplicate", faults.NetConfig{DuplicateProb: 1}, 2},
+		{"dropped-response", faults.NetConfig{DropResponseProb: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCoordinator(CoordinatorConfig{}, testUnits(1))
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			lease := c.Lease(LeaseRequest{Worker: "w", Max: 1})
+			if len(lease.Units) != 1 {
+				t.Fatalf("lease granted %d units, want 1", len(lease.Units))
+			}
+			lu := lease.Units[0]
+			rec := &bodyRecorder{next: NewServer(c, ServerConfig{})}
+			plan := faults.NewNetPlan(tc.cfg, 1)
+			client := loopbackClient(&netFaultTransport{
+				next: handlerTransport{h: rec}, plan: plan, worker: "w", clock: RealClock{},
+			})
 
-	// Raw HTTP first: the response shape is part of the protocol.
-	resp, err := http.Post(srv.URL+"/v1/lease", "application/json", strings.NewReader(`{"worker":"w","max":1}`))
-	if err != nil {
-		t.Fatalf("POST /v1/lease: %v", err)
-	}
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed request answered %s, want 429", resp.Status)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	var sb shedBody
-	if err := json.NewDecoder(resp.Body).Decode(&sb); err != nil || sb.RetryAfterMS <= 0 {
-		t.Fatalf("shed body %+v (err %v), want a positive retry_after_ms", sb, err)
-	}
-	resp.Body.Close()
+			resp, err := client.Complete(context.Background(), CompleteRequest{
+				Worker: "w", Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "ok",
+			})
+			if tc.cfg.DropResponseProb > 0 {
+				if !errors.Is(err, ErrInjectedNetFault) {
+					t.Fatalf("dropped response returned %v, want ErrInjectedNetFault", err)
+				}
+			} else if err != nil || !resp.Accepted {
+				t.Fatalf("duplicated Complete = %+v, %v; want an accepted ack", resp, err)
+			}
 
-	// Now through HTTPClient: the typed error round-trips.
-	hc := &HTTPClient{Base: srv.URL}
-	_, err = hc.Lease(context.Background(), LeaseRequest{Worker: "w", Max: 1})
-	var oe *OverloadError
-	if !errors.As(err, &oe) {
-		t.Fatalf("HTTPClient.Lease returned %v, want *OverloadError", err)
-	}
-	if oe.Endpoint != "lease" {
-		t.Fatalf("rebuilt endpoint %q, want lease", oe.Endpoint)
-	}
-	// Queue is saturated, so the server hint is 1.25×QueueWait; the
-	// client must carry the body's precise value, not the coarse header.
-	if want := time.Duration(sb.RetryAfterMS) * time.Millisecond; oe.RetryAfter != want {
-		t.Fatalf("rebuilt RetryAfter %v, want the body hint %v", oe.RetryAfter, want)
-	}
-
-	// Heartbeat is a different endpoint and stays open.
-	if _, err := hc.Heartbeat(context.Background(), HeartbeatRequest{Worker: "w"}); err != nil {
-		t.Fatalf("heartbeat while lease overloaded: %v", err)
+			if len(rec.bodies) != tc.deliveries {
+				t.Fatalf("coordinator received %d deliveries, want %d", len(rec.bodies), tc.deliveries)
+			}
+			for i, body := range rec.bodies {
+				if !bytes.Equal(body, rec.bodies[0]) {
+					t.Fatalf("delivery %d body %q differs from the first %q", i, body, rec.bodies[0])
+				}
+			}
+			st := c.Snapshot()
+			if st.Done != 1 || st.Units[0].Completions != 1 {
+				t.Fatalf("unit merged %d times (done=%d), want exactly once", st.Units[0].Completions, st.Done)
+			}
+		})
 	}
 }
 

@@ -13,14 +13,12 @@ import (
 	"repro/internal/vfs"
 )
 
-// The durable sweep journal. The legacy checkpoint rewrote the whole
-// sweep-state.json on every transition — O(units) I/O per lease — and a
-// failed rewrite was only a log line. The journal makes durability O(1)
-// per transition and failure first-class:
+// The durable sweep journal: O(1) durability per transition, with
+// failure first-class:
 //
 //   - journal-manifest.json names the active generation G.
 //   - snapshot-<G>.json is the full unit table as of the last
-//     compaction (the legacy stateFile document, written atomically).
+//     compaction (a stateFile document, written atomically).
 //   - journal-<G>.wal is an append-only log of per-unit transitions,
 //     each a CRC-32C-framed, length-prefixed JSON stateEntry, fsynced
 //     as it is appended.
@@ -345,36 +343,12 @@ func ReadSalvageReport(fsys vfs.FS, dir string) (SalvageReport, error) {
 	return rep, err
 }
 
-// append journals one unit transition: a single framed record, written
-// and fsynced. O(1) regardless of sweep size — this is the hot path the
-// tentpole exists for.
-func (js *journalStore) append(e stateEntry) error {
-	if js.dirty {
-		return errWalDirty
-	}
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := js.wal.Write(encodeFrame(payload)); err != nil {
-		// The file may now hold a torn frame; appending after it would
-		// turn a recoverable tail into mid-stream corruption. Poison
-		// the handle until a compaction rolls a clean generation.
-		js.dirty = true
-		return err
-	}
-	if err := js.wal.Sync(); err != nil {
-		js.dirty = true
-		return err
-	}
-	js.appended++
-	return nil
-}
-
 // appendAll group-commits a batch of transitions: every record's frame
 // in one write, then one fsync — batch durability at single-record disk
-// latency. Failure poisons the handle exactly like append: a torn frame
-// anywhere in the batch makes everything after it untrustworthy.
+// latency. A failed write or sync may leave a torn frame; appending
+// after it would turn a recoverable tail into mid-stream corruption, so
+// failure poisons the handle until a compaction rolls a clean
+// generation.
 func (js *journalStore) appendAll(entries []stateEntry) error {
 	if js.dirty {
 		return errWalDirty

@@ -17,6 +17,9 @@ func testEntry(id string, st UnitState) stateEntry {
 	}
 }
 
+// append journals one record, the way a single-unit transition does.
+func (js *journalStore) append(e stateEntry) error { return js.appendAll([]stateEntry{e}) }
+
 func entryStates(entries []stateEntry) map[string]UnitState {
 	out := map[string]UnitState{}
 	for _, e := range entries {

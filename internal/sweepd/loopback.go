@@ -1,235 +1,221 @@
 package sweepd
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/faults"
 )
 
-// Loopback is the in-process transport: a Client that calls the
-// coordinator directly, with no sockets and no serialization. It makes
-// the entire lease/heartbeat/complete protocol hermetically testable —
-// and, wrapped in a FaultyClient, chaos-testable — inside one process.
-type Loopback struct{ C *Coordinator }
+// The in-process transport. A loopback fleet's workers run the same
+// HTTPClient as networked ones; only the http.RoundTripper underneath
+// differs. handlerTransport serves each request by calling the
+// coordinator's own handler (NewServer) with no sockets in between, so
+// admission, the JSON codec, and the 429 → *OverloadError mapping run
+// on one path for every transport. Fault injection composes as
+// RoundTrippers stacked on top of it.
 
-// Lease implements Client.
-func (l Loopback) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return LeaseResponse{}, err
-	}
-	return l.C.Lease(req), nil
-}
-
-// Heartbeat implements Client.
-func (l Loopback) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return HeartbeatResponse{}, err
-	}
-	return l.C.Heartbeat(req), nil
-}
-
-// Complete implements Client.
-func (l Loopback) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return CompleteResponse{}, err
-	}
-	return l.C.Complete(req), nil
-}
-
-// CompleteBatch implements Client.
-func (l Loopback) CompleteBatch(ctx context.Context, req CompleteBatchRequest) (CompleteBatchResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return CompleteBatchResponse{}, err
-	}
-	return l.C.CompleteBatch(req), nil
-}
-
-// Release implements Client.
-func (l Loopback) Release(ctx context.Context, req ReleaseRequest) (ReleaseResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return ReleaseResponse{}, err
-	}
-	return l.C.Release(req), nil
-}
-
-// ErrInjectedNetFault is the transport error a FaultyClient surfaces
+// ErrInjectedNetFault is the transport error netFaultTransport surfaces
 // for dropped requests and responses.
 var ErrInjectedNetFault = errors.New("sweepd: injected network fault")
 
-// FaultyClient wraps a Client with a deterministic network-fault plan
-// (internal/faults.NetPlan): per-call drops, delays, duplications, and
-// partition windows. A dropped *request* never reaches the inner
-// client; a dropped *response* does — the coordinator acts on it while
-// the worker sees an error and retries, which is the duplicated-
-// delivery path the coordinator's idempotency must absorb.
-type FaultyClient struct {
-	Inner  Client
-	Plan   *faults.NetPlan
-	Worker string
-	Clock  Clock
+// loopbackClient speaks the protocol over rt, whose innermost layer is
+// a handlerTransport; the host in the URL is never resolved.
+func loopbackClient(rt http.RoundTripper) *HTTPClient {
+	return &HTTPClient{Base: "http://loopback", HTTP: &http.Client{Transport: rt}}
 }
 
-func call[Req, Resp any](ctx context.Context, f *FaultyClient, req Req, inner func(context.Context, Req) (Resp, error)) (Resp, error) {
-	var zero Resp
-	clock := f.Clock
-	if clock == nil {
-		clock = RealClock{}
+// handlerTransport is an http.RoundTripper that serves every request
+// in-process with h.
+type handlerTransport struct{ h http.Handler }
+
+// RoundTrip implements http.RoundTripper.
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	ctx := req.Context()
+	if req.Body != nil {
+		defer req.Body.Close()
 	}
-	v := f.Plan.Next(f.Worker, clock.Now())
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rec := &responseBuffer{header: http.Header{}}
+	// The handler may annotate its request (mux pattern, path values);
+	// a RoundTripper must not modify the caller's.
+	t.h.ServeHTTP(rec, req.WithContext(ctx))
+	if err := ctx.Err(); err != nil {
+		// The caller gave up mid-request (queued at the gate, or stalled
+		// in a trickling body): fail as a socket would, not with whatever
+		// the handler managed to write.
+		return nil, err
+	}
+	if rec.code == 0 {
+		rec.code = http.StatusOK
+	}
+	return &http.Response{
+		Status:        fmt.Sprintf("%d %s", rec.code, http.StatusText(rec.code)),
+		StatusCode:    rec.code,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        rec.header,
+		Body:          io.NopCloser(&rec.body),
+		ContentLength: int64(rec.body.Len()),
+		Request:       req,
+	}, nil
+}
+
+// responseBuffer is the http.ResponseWriter handlerTransport serves
+// into.
+type responseBuffer struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+func (r *responseBuffer) Header() http.Header { return r.header }
+
+func (r *responseBuffer) WriteHeader(code int) {
+	if r.code == 0 {
+		r.code = code
+	}
+}
+
+func (r *responseBuffer) Write(p []byte) (int, error) {
+	r.WriteHeader(http.StatusOK)
+	return r.body.Write(p)
+}
+
+// overloadTransport shapes calls with an overload plan (latency ramp,
+// slow-loris trickle). The stall delays the request body's first Read,
+// not the round trip: the handler reads the body only once the
+// admission gate has granted a slot, so a trickling call holds its slot
+// for the whole stall — the resource exhaustion slow-loris attacks
+// exploit and the queue bound must survive. A shed call is never read,
+// so it never draws a stall.
+type overloadTransport struct {
+	next   http.RoundTripper
+	plan   *faults.OverloadPlan
+	worker string
+	clock  Clock
+}
+
+// RoundTrip implements http.RoundTripper.
+func (t *overloadTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body == nil {
+		return t.next.RoundTrip(req)
+	}
+	shaped := req.WithContext(req.Context())
+	shaped.Body = &stalledBody{ReadCloser: req.Body, t: t, ctx: req.Context()}
+	return t.next.RoundTrip(shaped)
+}
+
+// stalledBody draws its stall from the plan and sleeps it out before
+// the first Read.
+type stalledBody struct {
+	io.ReadCloser
+	t       *overloadTransport
+	ctx     context.Context
+	started bool
+}
+
+func (b *stalledBody) Read(p []byte) (int, error) {
+	if !b.started {
+		b.started = true
+		if stall := b.t.plan.Next(b.t.worker, b.t.clock.Now()); stall > 0 {
+			if err := b.t.clock.Sleep(b.ctx, stall); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return b.ReadCloser.Read(p)
+}
+
+// netFaultTransport applies a deterministic network-fault plan
+// (internal/faults.NetPlan) per call: drops, delays, duplications, and
+// partition windows. A dropped request never reaches the inner
+// transport; a dropped response does — the coordinator acts on it while
+// the worker sees an error and retries, which is the duplicated-
+// delivery path the coordinator's idempotency must absorb.
+type netFaultTransport struct {
+	next   http.RoundTripper
+	plan   *faults.NetPlan
+	worker string
+	clock  Clock
+}
+
+// RoundTrip implements http.RoundTripper.
+func (t *netFaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	v := t.plan.Next(t.worker, t.clock.Now())
 	if v.Delay > 0 {
-		if err := clock.Sleep(ctx, v.Delay); err != nil {
-			return zero, err
+		if err := t.clock.Sleep(req.Context(), v.Delay); err != nil {
+			closeBody(req)
+			return nil, err
 		}
 	}
 	if v.DropRequest {
-		return zero, fmt.Errorf("%w: request dropped", ErrInjectedNetFault)
+		closeBody(req)
+		return nil, fmt.Errorf("%w: request dropped", ErrInjectedNetFault)
 	}
-	resp, err := inner(ctx, req)
-	if v.Duplicate && err == nil {
-		// The network delivered the request twice; the second delivery's
-		// response is the one the caller reads.
-		resp, err = inner(ctx, req)
+	var resp *http.Response
+	var err error
+	if v.Duplicate {
+		resp, err = t.deliverTwice(req)
+	} else {
+		resp, err = t.next.RoundTrip(req)
 	}
 	if v.DropResponse {
-		return zero, fmt.Errorf("%w: response dropped", ErrInjectedNetFault)
+		discardResponse(resp)
+		return nil, fmt.Errorf("%w: response dropped", ErrInjectedNetFault)
 	}
 	return resp, err
 }
 
-// Lease implements Client.
-func (f *FaultyClient) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
-	return call(ctx, f, req, f.Inner.Lease)
-}
-
-// Heartbeat implements Client.
-func (f *FaultyClient) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
-	return call(ctx, f, req, f.Inner.Heartbeat)
-}
-
-// Complete implements Client.
-func (f *FaultyClient) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	return call(ctx, f, req, f.Inner.Complete)
-}
-
-// CompleteBatch implements Client.
-func (f *FaultyClient) CompleteBatch(ctx context.Context, req CompleteBatchRequest) (CompleteBatchResponse, error) {
-	return call(ctx, f, req, f.Inner.CompleteBatch)
-}
-
-// Release implements Client.
-func (f *FaultyClient) Release(ctx context.Context, req ReleaseRequest) (ReleaseResponse, error) {
-	return call(ctx, f, req, f.Inner.Release)
-}
-
-// AdmittedClient routes loopback calls through an admission gate: the
-// exact middleware path HTTP requests take, minus the sockets. A shed
-// call returns the gate's *OverloadError; the coordinator is never
-// touched. This is what lets the overload chaos test prove the
-// admission invariants (inflight ≤ cap, shed-then-retried-to-success)
-// against hundreds of in-process workers.
-type AdmittedClient struct {
-	Inner Client
-	Gate  *Gate
-}
-
-// admitted acquires the gate around one call.
-func admitted[Req, Resp any](ctx context.Context, g *Gate, endpoint string, req Req, inner func(context.Context, Req) (Resp, error)) (Resp, error) {
-	var zero Resp
-	release, err := g.Acquire(ctx, endpoint)
-	if err != nil {
-		return zero, err
-	}
-	defer release()
-	return inner(ctx, req)
-}
-
-// Lease implements Client.
-func (a *AdmittedClient) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
-	return admitted(ctx, a.Gate, EndpointLease, req, a.Inner.Lease)
-}
-
-// Heartbeat implements Client.
-func (a *AdmittedClient) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
-	return admitted(ctx, a.Gate, EndpointHeartbeat, req, a.Inner.Heartbeat)
-}
-
-// Complete implements Client.
-func (a *AdmittedClient) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	return admitted(ctx, a.Gate, EndpointComplete, req, a.Inner.Complete)
-}
-
-// CompleteBatch implements Client. Batches share the complete
-// endpoint's limits, mirroring the HTTP route map.
-func (a *AdmittedClient) CompleteBatch(ctx context.Context, req CompleteBatchRequest) (CompleteBatchResponse, error) {
-	return admitted(ctx, a.Gate, EndpointComplete, req, a.Inner.CompleteBatch)
-}
-
-// Release implements Client.
-func (a *AdmittedClient) Release(ctx context.Context, req ReleaseRequest) (ReleaseResponse, error) {
-	return admitted(ctx, a.Gate, EndpointRelease, req, a.Inner.Release)
-}
-
-// LatencyClient shapes loopback calls with an overload plan: each call
-// stalls for the plan's verdict (latency ramp, slow-loris trickle)
-// before reaching the inner client. Stalls happen *inside* any
-// admission wrapper placed around this client — a trickling call holds
-// its gate slot the whole time, which is precisely the resource
-// exhaustion slow-loris attacks exploit and the queue bound must
-// survive.
-type LatencyClient struct {
-	Inner  Client
-	Plan   *faults.OverloadPlan
-	Worker string
-	Clock  Clock
-}
-
-// shaped stalls one call per the plan.
-func shaped[Req, Resp any](ctx context.Context, l *LatencyClient, req Req, inner func(context.Context, Req) (Resp, error)) (Resp, error) {
-	clock := l.Clock
-	if clock == nil {
-		clock = RealClock{}
-	}
-	if stall := l.Plan.Next(l.Worker, clock.Now()); stall > 0 {
-		if err := clock.Sleep(ctx, stall); err != nil {
-			var zero Resp
-			return zero, err
+// deliverTwice sends the same body twice, back to back; the second
+// delivery's response is the one the caller reads.
+func (t *netFaultTransport) deliverTwice(req *http.Request) (*http.Response, error) {
+	var body []byte
+	if req.Body != nil {
+		var err error
+		body, err = io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
 		}
 	}
-	return inner(ctx, req)
+	send := func() (*http.Response, error) {
+		r := req.WithContext(req.Context())
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		return t.next.RoundTrip(r)
+	}
+	first, err := send()
+	if err != nil {
+		return nil, err
+	}
+	discardResponse(first)
+	return send()
 }
 
-// Lease implements Client.
-func (l *LatencyClient) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
-	return shaped(ctx, l, req, l.Inner.Lease)
+func closeBody(req *http.Request) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
 }
 
-// Heartbeat implements Client.
-func (l *LatencyClient) Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
-	return shaped(ctx, l, req, l.Inner.Heartbeat)
-}
-
-// Complete implements Client.
-func (l *LatencyClient) Complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
-	return shaped(ctx, l, req, l.Inner.Complete)
-}
-
-// CompleteBatch implements Client.
-func (l *LatencyClient) CompleteBatch(ctx context.Context, req CompleteBatchRequest) (CompleteBatchResponse, error) {
-	return shaped(ctx, l, req, l.Inner.CompleteBatch)
-}
-
-// Release implements Client.
-func (l *LatencyClient) Release(ctx context.Context, req ReleaseRequest) (ReleaseResponse, error) {
-	return shaped(ctx, l, req, l.Inner.Release)
+func discardResponse(resp *http.Response) {
+	if resp != nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
 }
 
 // FleetConfig tunes an in-process worker fleet over the loopback
-// transport.
+// transport (handlerTransport).
 type FleetConfig struct {
 	// Workers is the initial fleet width.
 	Workers int
@@ -241,10 +227,10 @@ type FleetConfig struct {
 	// Plan, when non-nil, injects network faults and schedules kills.
 	Plan *faults.NetPlan
 	// Overload, when non-nil, shapes every call with latency ramps and
-	// slow-loris trickles (LatencyClient).
+	// slow-loris trickles (overloadTransport).
 	Overload *faults.OverloadPlan
-	// Gate, when non-nil, routes every call through admission control
-	// (AdmittedClient) and receives the workers' breaker counters.
+	// Gate, when non-nil, fronts the coordinator's handler with
+	// admission control and receives the workers' breaker counters.
 	Gate *Gate
 	// HerdStart releases every initial worker at the same instant — the
 	// thundering-herd shape — instead of letting goroutine scheduling
@@ -311,30 +297,25 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 	if !cfg.HerdStart {
 		close(start)
 	}
+	handler := NewServer(c, ServerConfig{Gate: cfg.Gate, Log: cfg.Log})
 	var spawn func(idx int)
 	spawn = func(idx int) {
 		id := fmt.Sprintf("w%d", idx)
-		// Chain, coordinator-outward: latency shaping innermost so a
-		// stalling call happens *inside* the admission gate — a trickling
-		// call holds its gate slot for the whole stall, the slow-loris
-		// resource exhaustion the queue bound must absorb — then the gate
-		// (the coordinator's front door on both transports), then network
-		// faults on the way there, then the worker's own breaker (added
-		// by NewWorker).
-		var client Client = Loopback{C: c}
+		// Chain, coordinator-outward: the handler (admission gate
+		// included), then overload shaping, whose stall lands inside the
+		// gate slot, then network faults on the way there, then the
+		// worker's own breaker (added by NewWorker).
+		var rt http.RoundTripper = handlerTransport{h: handler}
 		if cfg.Overload != nil {
-			client = &LatencyClient{Inner: client, Plan: cfg.Overload, Worker: id, Clock: clock}
-		}
-		if cfg.Gate != nil {
-			client = &AdmittedClient{Inner: client, Gate: cfg.Gate}
+			rt = &overloadTransport{next: rt, plan: cfg.Overload, worker: id, clock: clock}
 		}
 		kill := 0
 		if cfg.Plan != nil {
-			client = &FaultyClient{Inner: client, Plan: cfg.Plan, Worker: id, Clock: clock}
+			rt = &netFaultTransport{next: rt, plan: cfg.Plan, worker: id, clock: clock}
 			kill = cfg.Plan.KillAfterUnits(id)
 		}
 		w := NewWorker(WorkerConfig{
-			ID: id, Client: client, Run: cfg.NewRunner(id),
+			ID: id, Client: loopbackClient(rt), Run: cfg.NewRunner(id),
 			Clock: clock, Jobs: cfg.Jobs, PollMax: cfg.PollMax,
 			RetryBase: cfg.RetryBase, BatchCompletes: cfg.BatchCompletes,
 			BreakerAfter: cfg.BreakerAfter, BreakerCooldown: cfg.BreakerCooldown,

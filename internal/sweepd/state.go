@@ -10,16 +10,14 @@ import (
 	"repro/internal/vfs"
 )
 
-// StateName is the coordinator's legacy crash-proof sweep state inside
-// StateDir: the whole document rewritten atomically on every state
-// transition. The journal (journal.go) supersedes it — O(1) appends
-// instead of O(units) rewrites — and migrates it on resume; the legacy
-// format remains available behind CoordinatorConfig.LegacyState.
+// StateName is the pre-journal sweep state: one document rewritten on
+// every transition. Nothing writes it any more; resume migrates it into
+// the journal (journal.go) and fsck still verifies it.
 const StateName = "sweep-state.json"
 
-// stateEntry is one unit's persisted book entry. Rendered results are
-// not duplicated here — they live in per-unit <id>.txt reports — so the
-// state file stays small enough to rewrite on every transition.
+// stateEntry is one unit's persisted book entry: a journal record, and
+// one element of a snapshot. Rendered results are not duplicated here —
+// they live in per-unit <id>.txt reports.
 type stateEntry struct {
 	Unit        Unit          `json:"unit"`
 	State       UnitState     `json:"state"`
@@ -31,7 +29,8 @@ type stateEntry struct {
 	Quarantine  string        `json:"quarantine,omitempty"`
 }
 
-// stateFile is the on-disk document.
+// stateFile is the snapshot document (and the pre-journal state file's
+// format).
 type stateFile struct {
 	Units []stateEntry `json:"units"`
 }
@@ -58,7 +57,7 @@ func entryFor(r *unitRecord) stateEntry {
 }
 
 // entriesLocked renders the whole unit table in grid order — the
-// snapshot document, and the legacy full-rewrite body.
+// snapshot document.
 func (c *Coordinator) entriesLocked() []stateEntry {
 	entries := make([]stateEntry, 0, len(c.order))
 	for _, id := range c.sortedIDs() {
@@ -67,70 +66,24 @@ func (c *Coordinator) entriesLocked() []stateEntry {
 	return entries
 }
 
-// persistLocked checkpoints the sweep state in the legacy full-rewrite
-// format; a no-op without StateDir. O(units) I/O per call — journal
-// mode (persistUnitLocked) replaces it everywhere but behind
-// cfg.LegacyState.
-func (c *Coordinator) persistLocked() {
-	if c.cfg.StateDir == "" {
-		return
-	}
-	doc := stateFile{Units: c.entriesLocked()}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(c.cfg.Log, "sweepd: warning: state marshal failed: %v\n", err)
-		return
-	}
-	err = vfs.WriteFileAtomic(c.cfg.FS, filepath.Join(c.cfg.StateDir, StateName), func(w io.Writer) error {
-		_, werr := w.Write(append(data, '\n'))
-		return werr
-	})
-	if err != nil {
-		c.persistFailureLocked(err)
-		return
-	}
-	c.persistFails = 0
-}
-
-// persistUnitLocked makes one unit's transition durable: a single
-// journal record in journal mode, the legacy full rewrite otherwise.
-// Both paths share the escalation policy — persistent failure is not a
-// log line, it is a mode change (see persistFailureLocked).
+// persistUnitLocked makes one unit's transition durable as a single
+// journal record. Persistent failure is not a log line, it is a mode
+// change (see persistFailureLocked).
 func (c *Coordinator) persistUnitLocked(r *unitRecord) {
-	if c.cfg.StateDir == "" {
-		return
-	}
-	if c.store == nil {
-		c.persistLocked()
-		return
-	}
-	if c.degraded {
-		// Already refusing leases; retrying per-transition would only
-		// thrash a disk we know is failing.
-		return
-	}
-	if err := c.persistEntryLocked(entryFor(r)); err != nil {
-		c.persistFailureLocked(err)
-		return
-	}
-	c.persistFails = 0
+	c.persistUnitsLocked([]*unitRecord{r})
 }
 
 // persistUnitsLocked makes a batch of transitions durable in one
 // group-commit: all records appended to the journal under a single
 // fsync, so a CompleteBatch of N outcomes costs the same disk latency
-// as one. Failure policy matches persistUnitLocked — a failed batch is
-// one failed checkpoint transition, not N.
+// as one. A failed batch is one failed checkpoint transition, not N.
 func (c *Coordinator) persistUnitsLocked(rs []*unitRecord) {
-	if len(rs) == 0 || c.cfg.StateDir == "" {
-		return
-	}
-	if c.store == nil {
-		// Legacy full rewrite: one rewrite already covers every unit.
-		c.persistLocked()
+	if len(rs) == 0 || c.store == nil {
 		return
 	}
 	if c.degraded {
+		// Already refusing leases; retrying per-transition would only
+		// thrash a disk we know is failing.
 		return
 	}
 	entries := make([]stateEntry, len(rs))
@@ -144,10 +97,11 @@ func (c *Coordinator) persistUnitsLocked(rs []*unitRecord) {
 	c.persistFails = 0
 }
 
-// persistEntriesLocked group-commits a batch of records with the same
-// retry-by-compaction policy as persistEntryLocked: a failed append
-// poisons the journal, and each retry folds the full state — batch
-// included — into a fresh generation.
+// persistEntriesLocked group-commits a batch of records, retrying by
+// compaction: a failed append poisons the journal file (it may hold a
+// torn frame), so each retry folds the full state — batch included —
+// into a fresh generation, which both persists the transitions and
+// heals the torn file.
 func (c *Coordinator) persistEntriesLocked(entries []stateEntry) error {
 	var err error
 	for attempt := 0; attempt <= c.cfg.PersistRetries; attempt++ {
@@ -161,36 +115,9 @@ func (c *Coordinator) persistEntriesLocked(entries []stateEntry) error {
 			continue
 		}
 		if c.store.shouldCompact(c.cfg.SnapshotEvery) {
-			if cerr := c.store.compact(c.entriesLocked()); cerr != nil {
-				fmt.Fprintf(c.cfg.Log, "sweepd: warning: journal compaction failed (will retry): %v\n", cerr)
-			}
-		}
-		return nil
-	}
-	return err
-}
-
-// persistEntryLocked appends one record, retrying by compaction: a
-// failed append poisons the journal file (it may hold a torn frame), so
-// each retry folds the full state — entry included — into a fresh
-// generation, which both persists the transition and heals the torn
-// file.
-func (c *Coordinator) persistEntryLocked(e stateEntry) error {
-	var err error
-	for attempt := 0; attempt <= c.cfg.PersistRetries; attempt++ {
-		if c.store.dirty {
-			if err = c.store.compact(c.entriesLocked()); err != nil {
-				continue
-			}
-			return nil // the compacted snapshot already includes e
-		}
-		if err = c.store.append(e); err != nil {
-			continue
-		}
-		if c.store.shouldCompact(c.cfg.SnapshotEvery) {
-			// Scheduled compaction; the record above is already durable,
-			// so a failure here only defers the fold (and marks the
-			// store dirty if the generation roll half-happened — the
+			// Scheduled compaction; the records above are already
+			// durable, so a failure here only defers the fold (and marks
+			// the store dirty if the generation roll half-happened — the
 			// next transition's retry loop finishes the job).
 			if cerr := c.store.compact(c.entriesLocked()); cerr != nil {
 				fmt.Fprintf(c.cfg.Log, "sweepd: warning: journal compaction failed (will retry): %v\n", cerr)
@@ -213,20 +140,6 @@ func (c *Coordinator) persistFailureLocked(err error) {
 		c.degradedReason = fmt.Sprintf("%d consecutive checkpoint failures, last: %v", c.persistFails, err)
 		fmt.Fprintf(c.cfg.Log, "sweepd: DEGRADED: %s — refusing new leases\n", c.degradedReason)
 	}
-}
-
-// restoreState folds a previous coordinator's legacy sweep state into
-// the fresh unit table (cfg.LegacyState + Resume; journal mode restores
-// through openJournal instead). Returns how many terminal outcomes were
-// restored.
-func (c *Coordinator) restoreState() (int, error) {
-	entries, err := readLegacyState(c.cfg.FS, c.cfg.StateDir)
-	if err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.applyEntriesLocked(entries), nil
 }
 
 // applyEntriesLocked replays recovered entries over the unit table.

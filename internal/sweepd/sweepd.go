@@ -34,11 +34,12 @@
 //
 // All coordinator time arithmetic goes through an injectable Clock and
 // expiry is reaped lazily on API entry, so lease semantics are tested
-// against a manual clock with no real sleeps. An in-process loopback
-// transport (Loopback, RunFleet) exercises the whole protocol
-// hermetically; internal/faults.NetPlan injects dropped/delayed/
-// duplicated requests, partitions, and mid-trial worker kills on top of
-// it. See DESIGN.md §8 for the work-unit state machine.
+// against a manual clock with no real sleeps. RunFleet exercises the
+// whole protocol hermetically: its workers' HTTPClients reach the
+// coordinator's own handler through an in-process http.RoundTripper,
+// on top of which internal/faults.NetPlan injects dropped/delayed/
+// duplicated requests, partitions, and mid-trial worker kills. See
+// DESIGN.md §8 for the work-unit state machine.
 package sweepd
 
 import (
@@ -189,7 +190,7 @@ type CompletedUnit struct {
 // trip — the first rung of completion pipelining: a herd of finishing
 // workers costs one request per worker instead of one per unit, and
 // the coordinator merges the batch under a single lock acquisition
-// (and, in journal mode, a single fsync).
+// (and a single journal fsync).
 type CompleteBatchRequest struct {
 	Worker string          `json:"worker"`
 	Units  []CompletedUnit `json:"units"`
@@ -222,9 +223,9 @@ type ReleaseResponse struct {
 }
 
 // Client is the worker's view of the coordinator. HTTPClient speaks the
-// JSON protocol over the network; Loopback calls the coordinator
-// in-process; FaultyClient wraps either with a deterministic
-// network-fault plan.
+// JSON protocol, over the network or, in RunFleet, over an in-process
+// transport that calls the coordinator's handler directly; the worker
+// wraps it in a circuit breaker.
 type Client interface {
 	Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error)
 	Heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)

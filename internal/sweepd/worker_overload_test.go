@@ -17,7 +17,7 @@ import (
 func TestRetrierJitterDivergesAcrossWorkers(t *testing.T) {
 	schedule := func(id string) []time.Duration {
 		w := NewWorker(WorkerConfig{
-			ID: "worker-" + id, Client: Loopback{},
+			ID: "worker-" + id, Client: &HTTPClient{},
 			Run: func(ctx context.Context, u Unit, p func(string)) UnitResult { return UnitResult{} },
 		})
 		r := w.newRetrier("lease")
@@ -47,7 +47,7 @@ func TestRetrierJitterDivergesAcrossWorkers(t *testing.T) {
 // in expectation; reset rewinds; stretch never shrinks a server hint.
 func TestRetrierBackoffShape(t *testing.T) {
 	w := NewWorker(WorkerConfig{
-		ID: "shape", Client: Loopback{},
+		ID: "shape", Client: &HTTPClient{},
 		Run:       func(ctx context.Context, u Unit, p func(string)) UnitResult { return UnitResult{} },
 		RetryBase: 10 * time.Millisecond, PollMax: 80 * time.Millisecond,
 	})
@@ -189,7 +189,7 @@ func TestBreakerIgnoresShedAndCancel(t *testing.T) {
 // breaker entirely — the client chain is untouched and stats are zero.
 func TestWorkerDisablesBreaker(t *testing.T) {
 	w := NewWorker(WorkerConfig{
-		ID: "nobreaker", Client: Loopback{},
+		ID: "nobreaker", Client: &HTTPClient{},
 		Run:          func(ctx context.Context, u Unit, p func(string)) UnitResult { return UnitResult{} },
 		BreakerAfter: -1,
 	})
@@ -241,7 +241,7 @@ func TestBatchedCompletesFewerRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	counter := &countingClient{inner: Loopback{C: c}}
+	counter := &countingClient{inner: loopback(c)}
 	var mu sync.Mutex
 	exec := map[UnitID]int{}
 	w := NewWorker(WorkerConfig{
@@ -289,7 +289,7 @@ func TestBatchedCompletesSurviveShedding(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	var drops atomic.Int64
-	shedder := &sheddingClient{inner: Loopback{C: c}, shedFirst: 2, drops: &drops}
+	shedder := &sheddingClient{inner: loopback(c), shedFirst: 2, drops: &drops}
 	var mu sync.Mutex
 	exec := map[UnitID]int{}
 	w := NewWorker(WorkerConfig{

@@ -26,6 +26,12 @@ func okRunner(mu *sync.Mutex, exec map[UnitID]int) func(string) UnitRunner {
 	}
 }
 
+// loopback is an in-process client for c: HTTPClient over c's own
+// handler, the transport RunFleet gives its workers.
+func loopback(c *Coordinator) Client {
+	return loopbackClient(handlerTransport{h: NewServer(c, ServerConfig{})})
+}
+
 // TestWorkerRunsSweepLoopback: a clean fleet over the loopback transport
 // runs every unit exactly once and the sweep completes.
 func TestWorkerRunsSweepLoopback(t *testing.T) {
@@ -76,7 +82,7 @@ func TestWorkerDrainFinishesInFlight(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	w := NewWorker(WorkerConfig{
-		ID: "w", Client: Loopback{C: c},
+		ID: "w", Client: loopback(c),
 		Run: func(ctx context.Context, u Unit, progress func(string)) UnitResult {
 			once.Do(func() { close(started) })
 			<-release
@@ -108,7 +114,7 @@ func TestWorkerAbortReleasesLease(t *testing.T) {
 	}
 	started := make(chan struct{})
 	w := NewWorker(WorkerConfig{
-		ID: "w", Client: Loopback{C: c},
+		ID: "w", Client: loopback(c),
 		Run: func(ctx context.Context, u Unit, progress func(string)) UnitResult {
 			close(started)
 			<-ctx.Done()

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -165,4 +166,106 @@ func names(entries []fs.DirEntry) []string {
 		out = append(out, e.Name())
 	}
 	return out
+}
+
+// TestWriteFileAtomicCrashMidWrite: a writer that dies partway through
+// (simulating a crash or error mid-write) must leave the previous file
+// contents untouched and no temp litter behind — the torn write is
+// confined to a temp name that never becomes visible.
+func TestWriteFileAtomicCrashMidWrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "manifest.json")
+	if err := WriteFileAtomic(OS{}, path, func(w io.Writer) error {
+		_, err := io.WriteString(w, `{"generation": 1}`)
+		return err
+	}); err != nil {
+		t.Fatalf("seed write: %v", err)
+	}
+
+	boom := errors.New("crash mid-write")
+	err := WriteFileAtomic(OS{}, path, func(w io.Writer) error {
+		// Half the new content lands, then the process "dies".
+		if _, err := io.WriteString(w, `{"generation": 2, "experiments": {`); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("mid-write failure not surfaced: %v", err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading after failed write: %v", err)
+	}
+	if string(data) != `{"generation": 1}` {
+		t.Fatalf("previous contents torn by failed write: %q", data)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Fatalf("temp litter left behind: %s", e.Name())
+		}
+	}
+}
+
+// TestWriteFileAtomicLeavesNoPartials: a render that fails before any
+// file exists leaves the directory empty; the retry then lands whole.
+func TestWriteFileAtomicLeavesNoPartials(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "report.txt")
+	boom := errors.New("render exploded")
+	err := WriteFileAtomic(OS{}, path, func(w io.Writer) error {
+		w.Write([]byte("half a rep"))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic error = %v, want the render error", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("failed write left %d files behind (%v)", len(entries), entries)
+	}
+	if err := WriteFileAtomic(OS{}, path, func(w io.Writer) error { _, err := w.Write([]byte("whole\n")); return err }); err != nil {
+		t.Fatalf("successful write: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || string(data) != "whole\n" {
+		t.Fatalf("read back %q, %v", data, err)
+	}
+}
+
+// TestWriteFileAtomicReplaces: the happy path replaces the file in one
+// step with world-readable mode.
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "report.txt")
+	for i, content := range []string{"first", "second"} {
+		if err := WriteFileAtomic(OS{}, path, func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
+			return err
+		}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != content {
+			t.Fatalf("write %d read back %q", i, data)
+		}
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode().Perm() != 0o644 {
+		t.Fatalf("mode = %v, want 0644", info.Mode().Perm())
+	}
 }
