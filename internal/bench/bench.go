@@ -100,6 +100,7 @@ func Cases() []Case {
 		{Name: "machine-epoch", ZeroAlloc: true, Fn: benchMachineEpoch},
 		{Name: "machine-epoch-idle", ZeroAlloc: true, Fn: benchMachineEpochIdle},
 		{Name: "machine-epoch-idle-stepped", ZeroAlloc: true, Fn: benchMachineEpochIdleStepped},
+		{Name: "machine-reset", ZeroAlloc: true, Fn: benchMachineReset},
 		{Name: "trial-sync-quick", Trial: true, Long: true, Fn: benchTrialSync},
 		{Name: "trial-settle-quick", Trial: true, Long: true, Fn: benchTrialSettle},
 		{Name: "trial-rel-quick", Trial: true, Long: true, Fn: benchTrialRel},
@@ -313,6 +314,38 @@ func benchIdleEpoch(b *testing.B, skip bool) {
 	for i := 0; i < b.N; i++ {
 		m.Run(e)
 	}
+}
+
+// benchMachineReset times the pool's recycling step: Machine.Reset of a
+// machine whose probe thread walked one eviction list since its last
+// reset, the cost a pooled settle-dominated trial pays in Pool.Get.
+// Reset drops the thread, so each iteration replays the 20-line walk
+// through the thread's private caches, which Reset keeps attached. The
+// cold walk stays on the clock (pausing the timer around it costs far
+// more than the walk), so ns/op is walk plus reset; the reset's own share
+// is reported as reset-ns/op.
+func benchMachineReset(b *testing.B) {
+	m := system.New(system.DefaultConfig())
+	slice, _ := m.Socket(0).Die.SliceAtHops(9, 0)
+	lines, err := memsys.EvictionList(m.Socket(0).Hier, 0, memsys.NewAllocator(), 10, slice, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe := m.Spawn("bench-probe", 0, 9, 0, &workload.Measure{Lines: lines})
+	m.Run(m.Config().Quantum)
+	seed := m.Config().Seed
+	var reset time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		m.Reset(seed)
+		reset += time.Since(start)
+		for _, l := range lines {
+			probe.Caches.Access(0, l)
+		}
+	}
+	b.ReportMetric(float64(reset.Nanoseconds())/float64(b.N), "reset-ns/op")
 }
 
 // benchTrial runs one quick experiment trial per iteration; trials/sec

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -381,5 +383,66 @@ func TestSetAssocMatchesReferenceLRU(t *testing.T) {
 		if was != wantWas || (was && ev != wantEv) {
 			t.Fatalf("step %d: eviction (%d,%v), reference (%d,%v)", step, ev, was, wantEv, wantWas)
 		}
+	}
+}
+
+// TestSetAssocResetReplaysFresh pins the dirty-set Reset: a seeded
+// stream of partitioned inserts, lookups, removes, flushes and resets runs
+// on one long-lived array and, segment by segment, on a freshly built one
+// that replaces it at every Reset. After each Reset the array must be
+// all-zero with its stamp rewound and no set still marked, and between
+// resets it must match the fresh array's hits, evictions and way contents
+// op for op.
+func TestSetAssocResetReplaysFresh(t *testing.T) {
+	const sets, ways = 64, 8
+	rng := rand.New(rand.NewPCG(0x5e7a55, 0xd1e7))
+	c := NewSetAssoc(sets, ways)
+	fresh := NewSetAssoc(sets, ways)
+	resets := 0
+	for step := 0; step < 40000; step++ {
+		set, l := rng.IntN(sets), Line(rng.IntN(24))
+		switch op := rng.IntN(1000); {
+		case op < 500:
+			lo := rng.IntN(ways)
+			n := 1 + rng.IntN(ways-lo)
+			ev, was := c.InsertWays(set, l, lo, n)
+			wantEv, wantWas := fresh.InsertWays(set, l, lo, n)
+			if ev != wantEv || was != wantWas {
+				t.Fatalf("step %d: InsertWays(%d, %d, %d, %d) evicted (%d,%v), fresh (%d,%v)",
+					step, set, l, lo, n, ev, was, wantEv, wantWas)
+			}
+		case op < 800:
+			if got, want := c.Lookup(set, l), fresh.Lookup(set, l); got != want {
+				t.Fatalf("step %d: Lookup(%d, %d) = %v, fresh %v", step, set, l, got, want)
+			}
+		case op < 990:
+			if got, want := c.Remove(set, l), fresh.Remove(set, l); got != want {
+				t.Fatalf("step %d: Remove(%d, %d) = %v, fresh %v", step, set, l, got, want)
+			}
+		case op < 995:
+			c.Flush()
+			fresh.Flush()
+		default:
+			c.Reset()
+			fresh = NewSetAssoc(sets, ways)
+			resets++
+			for i, w := range c.arr {
+				if w != (way{}) {
+					t.Fatalf("step %d: way %d of set %d not zero after Reset: %+v", step, i%ways, i/ways, w)
+				}
+			}
+			if c.stamp != 0 {
+				t.Fatalf("step %d: stamp %d after Reset, want 0", step, c.stamp)
+			}
+			if len(c.dirtyList) != 0 || slices.Contains(c.dirty, true) {
+				t.Fatalf("step %d: %d sets still listed dirty after Reset", step, len(c.dirtyList))
+			}
+		}
+		if c.stamp != fresh.stamp || !slices.Equal(c.arr, fresh.arr) {
+			t.Fatalf("step %d: array diverges from a fresh one replaying the same ops", step)
+		}
+	}
+	if resets < 100 {
+		t.Fatalf("stream exercised only %d resets", resets)
 	}
 }

@@ -233,18 +233,6 @@ func (h *Hierarchy) LLCContains(d Domain, line Line) bool {
 	return h.slices[slice].Contains(set, line)
 }
 
-// LLCOccupancy returns the total number of valid LLC lines, an input to
-// occupancy-style channels (SPP).
-func (h *Hierarchy) LLCOccupancy() int {
-	n := 0
-	for _, s := range h.slices {
-		for set := 0; set < s.Sets(); set++ {
-			n += s.Occupancy(set)
-		}
-	}
-	return n
-}
-
 // Stats returns cumulative LLC insert/eviction counts.
 func (h *Hierarchy) Stats() (inserts, evictions uint64) {
 	return h.llcInserts, h.llcEvictions

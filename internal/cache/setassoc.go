@@ -34,11 +34,22 @@ type way struct {
 // Insertion can be restricted to a way range, which is how way-partitioning
 // defences are expressed. Each set's ways are contiguous in memory; every
 // operation is a single pass over that span and allocates nothing.
+//
+// Only InsertWays ever makes a way valid (Lookup re-stamps ways that are
+// already valid; Remove and Flush only clear the valid flag), so a set
+// never inserted into since the last Reset is still all-zero. The array
+// records each set the first time InsertWays writes it, and Reset clears
+// just those: its cost scales with the sets touched, not the array size.
 type SetAssoc struct {
 	sets  int
 	ways  int
 	arr   []way
 	stamp uint64
+	// dirty marks the sets written since the last Reset; dirtyList holds
+	// their indices in first-write order. Both are sized in NewSetAssoc,
+	// so marking never allocates.
+	dirty     []bool
+	dirtyList []int32
 }
 
 // NewSetAssoc returns a cache array with the given geometry. sets must be a
@@ -51,9 +62,11 @@ func NewSetAssoc(sets, ways int) *SetAssoc {
 		panic(fmt.Sprintf("cache: non-positive way count %d", ways))
 	}
 	return &SetAssoc{
-		sets: sets,
-		ways: ways,
-		arr:  make([]way, sets*ways),
+		sets:      sets,
+		ways:      ways,
+		arr:       make([]way, sets*ways),
+		dirty:     make([]bool, sets),
+		dirtyList: make([]int32, 0, sets),
 	}
 }
 
@@ -129,6 +142,10 @@ func (c *SetAssoc) InsertWays(set int, line Line, wayLo, wayN int) (evicted Line
 			victim = i
 		}
 	}
+	if !c.dirty[set] {
+		c.dirty[set] = true
+		c.dirtyList = append(c.dirtyList, int32(set))
+	}
 	w := &ws[victim]
 	if w.valid {
 		evicted, wasEvicted = w.line, true
@@ -173,9 +190,15 @@ func (c *SetAssoc) Flush() {
 }
 
 // Reset returns the array to its just-constructed state: every way
-// invalid and the LRU stamp rewound to zero, so replacement decisions
-// after a reset replay those of a fresh cache bit for bit.
+// zeroed and the LRU stamp rewound to zero, so replacement decisions
+// after a reset replay those of a fresh cache bit for bit. It clears only
+// the sets inserted into since the last Reset; every other set is still
+// all-zero (see SetAssoc), so the cost is O(sets written), not O(array).
 func (c *SetAssoc) Reset() {
-	clear(c.arr)
+	for _, set := range c.dirtyList {
+		clear(c.span(int(set)))
+		c.dirty[set] = false
+	}
+	c.dirtyList = c.dirtyList[:0]
 	c.stamp = 0
 }

@@ -104,7 +104,7 @@ func (*ReloadRefresh) Run(m *system.Machine, env defense.Env, bits channel.Bits)
 // remoteThresholdCycles separates an LLC hit from a cross-core snoop at
 // the current uncore frequency, given the line's home-slice hop distance.
 func remoteThresholdCycles(ctx *system.Ctx, hops int) float64 {
-	tp := ctx.Machine().Config().Timing
+	tp := ctx.Timing()
 	llc := tp.LLCMeanCycles(ctx.CoreFreq(), ctx.UncoreFreq(), hops, 0)
 	// The remote path adds roughly half a slice pipeline plus extra
 	// hops (see timing.SampleCycles): ≥27 cycles even at the top

@@ -65,7 +65,7 @@ func (w *probeWorkload) Step(ctx *system.Ctx) system.Activity {
 	}
 	if ctx.Start() >= w.next {
 		if w.n > 0 {
-			tp := ctx.Machine().Config().Timing
+			tp := ctx.Timing()
 			f := tp.UncoreFromLatency(w.sum/float64(w.n), ctx.CoreFreq(), w.hops, 10, 30)
 			w.out.Add(ctx.Start(), f.GHz())
 		}

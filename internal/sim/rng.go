@@ -10,19 +10,42 @@ import (
 // the distributions the timing and workload models need.
 type Rand struct {
 	src *rand.Rand
+	pcg *rand.PCG
 }
+
+// pcgSeedMix derives the PCG's second seed word from the first.
+const pcgSeedMix = 0x9e3779b97f4a7c15
 
 // NewRand returns a Rand seeded from seed. Two Rands with the same seed
 // produce identical streams.
 func NewRand(seed uint64) *Rand {
-	return &Rand{src: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	pcg := rand.NewPCG(seed, seed^pcgSeedMix)
+	return &Rand{src: rand.New(pcg), pcg: pcg}
+}
+
+// Reseed restarts r in place on the stream NewRand(seed) produces, so
+// recycled owners (pooled machines) reseed without allocating.
+func (r *Rand) Reseed(seed uint64) {
+	r.pcg.Seed(seed, seed^pcgSeedMix)
 }
 
 // Split derives an independent child stream from r and a label, so that
 // adding consumers of randomness in one component does not perturb the
 // stream seen by another.
 func (r *Rand) Split(label uint64) *Rand {
-	return NewRand(r.src.Uint64() ^ (label * 0xbf58476d1ce4e5b9))
+	return NewRand(r.splitSeed(label))
+}
+
+// SplitInto is Split reseeding dst in place instead of allocating: dst
+// then produces the stream Split(label) would have returned. It returns
+// dst.
+func (r *Rand) SplitInto(dst *Rand, label uint64) *Rand {
+	dst.Reseed(r.splitSeed(label))
+	return dst
+}
+
+func (r *Rand) splitSeed(label uint64) uint64 {
+	return r.src.Uint64() ^ (label * 0xbf58476d1ce4e5b9)
 }
 
 // Float64 returns a uniform value in [0, 1).

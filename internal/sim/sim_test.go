@@ -111,6 +111,29 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
+// TestRandReseedReplaysNew pins the in-place paths pooled machines use:
+// a used Rand reseeded, and a used Rand refilled by SplitInto, must
+// produce exactly the streams NewRand and Split would have returned.
+func TestRandReseedReplaysNew(t *testing.T) {
+	used := NewRand(1)
+	used.Uint64()
+	used.Reseed(42)
+	parentA, parentB := NewRand(7), NewRand(7)
+	into := parentB.SplitInto(NewRand(99), 3)
+	want, split := NewRand(42), parentA.Split(3)
+	for i := 0; i < 64; i++ {
+		if used.Uint64() != want.Uint64() {
+			t.Fatalf("reseeded stream diverges from NewRand at %d", i)
+		}
+		if into.Uint64() != split.Uint64() {
+			t.Fatalf("SplitInto stream diverges from Split at %d", i)
+		}
+		if parentA.Uint64() != parentB.Uint64() {
+			t.Fatalf("SplitInto consumed the parent differently from Split at %d", i)
+		}
+	}
+}
+
 func TestRandSplitIndependence(t *testing.T) {
 	r := NewRand(7)
 	a := r.Split(1)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/sim"
+	"repro/internal/timing"
 	"repro/internal/topo"
 )
 
@@ -23,6 +24,11 @@ type Ctx struct {
 
 // Machine returns the platform.
 func (c *Ctx) Machine() *Machine { return c.m }
+
+// Timing returns the machine's latency model. It points into the machine's
+// configuration, so per-quantum and per-access callers read the constants
+// in place instead of copying the Config.
+func (c *Ctx) Timing() *timing.Params { return &c.m.cfg.Timing }
 
 // Thread returns the executing thread.
 func (c *Ctx) Thread() *Thread { return c.t }
@@ -94,7 +100,7 @@ func (c *Ctx) access(line cache.Line) (float64, cache.AccessResult) {
 	fu := t.Sock.Gov.SampleFreq(t.rng)
 	cycles := c.m.cfg.Timing.SampleCycles(res.Level, c.CoreFreq(), fu, hops, contention, t.rng)
 	if res.Level >= cache.LevelLLC {
-		cycles += t.drift.Sample(c.m.cfg.Timing, c.Now(), t.rng)
+		cycles += t.drift.Sample(&c.m.cfg.Timing, c.Now(), t.rng)
 		if cycles < 1 {
 			cycles = 1
 		}

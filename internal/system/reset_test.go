@@ -57,6 +57,30 @@ func runSignature(t *testing.T, m *system.Machine) string {
 		m.Socket(1).Uncore(), m.Rand(0xabc).Uint64())
 }
 
+// dirtyCaches walks eviction lists over every LLC slice from core 12 of
+// each socket, leaving lines in many L1, L2 and LLC sets, so a following
+// Reset has far more than the signature run's few sets to clear. Each
+// slice's lists come from a fresh allocator starting at L2 set 10, so on
+// socket 0 they include the signature probe's own lines: any line a Reset
+// left behind would turn the probe's misses into LLC hits or snoops.
+func dirtyCaches(t *testing.T, m *system.Machine) {
+	t.Helper()
+	for s, sock := range m.Sockets() {
+		var lines []cache.Line
+		for slice := 0; slice < sock.Die.NumSlices(); slice++ {
+			lists, err := memsys.EvictionLists(sock.Hier, 0, memsys.NewAllocator(), 10, slice, 24, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range lists {
+				lines = append(lines, l...)
+			}
+		}
+		m.Spawn(fmt.Sprintf("dirty-probe-%d", s), s, 12, 0, &workload.Measure{Lines: lines, PerQuantum: 256})
+	}
+	m.Run(40 * sim.Millisecond)
+}
+
 // TestResetReplaysNew is the pooling contract: a machine Reset to a seed
 // must be bit-for-bit indistinguishable from New at that seed, including
 // the machine-derived random streams, after arbitrary prior use.
@@ -70,6 +94,7 @@ func TestResetReplaysNew(t *testing.T) {
 	dirty := system.New(system.DefaultConfig())
 	_ = runSignature(t, dirty)
 	dirty.SetFaults(nil)
+	dirtyCaches(t, dirty)
 	dirty.Socket(0).Hier.SetIndexFn(func(_ cache.Domain, _ cache.Line, _ int) int { return 0 })
 	dirty.Reset(cfg.Seed)
 	if got := runSignature(t, dirty); got != fresh {
@@ -77,6 +102,7 @@ func TestResetReplaysNew(t *testing.T) {
 	}
 
 	// Reset must also be repeatable: same seed, same run, again.
+	dirtyCaches(t, dirty)
 	dirty.Reset(cfg.Seed)
 	if got := runSignature(t, dirty); got != fresh {
 		t.Errorf("second reset diverges from fresh machine:\nfresh: %s\nreset: %s", fresh, got)

@@ -125,6 +125,9 @@ type Socket struct {
 
 	coreCaches []*cache.CoreCaches
 
+	// govRng is the governor's random stream, reseeded in place by Reset.
+	govRng *sim.Rand
+
 	// Epoch accumulators consumed by the governor.
 	epochLLC      float64
 	epochPressure float64
@@ -221,7 +224,8 @@ func New(cfg Config) *Machine {
 			Mesh: mesh.New(die, cfg.Interconnect, cfg.MeshParams),
 			MSR:  msr.NewFile(),
 		}
-		s.Gov = ufs.NewGovernor(cfg.UFS, s.MSR, m.rng.Split(uint64(1000+i)))
+		s.govRng = m.rng.Split(uint64(1000 + i))
+		s.Gov = ufs.NewGovernor(cfg.UFS, s.MSR, s.govRng)
 		for c := 0; c < die.NumCores(); c++ {
 			core := cpu.NewCore(c, die.CoreCoord(c), cfg.CoreBase)
 			core.Freq = cfg.CoreFreq
@@ -257,9 +261,11 @@ func New(cfg Config) *Machine {
 // restarts at time zero with only the quantum and epoch tickers (extra
 // samplers registered through Engine() are dropped), all threads are
 // removed, caches and mesh load return to cold state, MSR files to their
-// power-on defaults, governors to the idle operating point with fresh
-// split random streams, and the fault hook is cleared. The random streams
-// are re-derived in New's exact consumption order, so a reset machine is
+// power-on defaults, governors to the idle operating point with freshly
+// split random streams, and the fault hook is cleared. Caches clear only
+// the sets written since the last reset, and the random streams are
+// reseeded in place, so a reset allocates nothing. The streams are
+// re-derived in New's exact consumption order, so a reset machine is
 // bit-for-bit indistinguishable from a freshly constructed one — the
 // contract the trial pool and the determinism tests rely on.
 //
@@ -268,7 +274,7 @@ func New(cfg Config) *Machine {
 func (m *Machine) Reset(seed uint64) {
 	m.cfg.Seed = seed
 	m.engine.Reset()
-	m.rng = sim.NewRand(seed)
+	m.rng.Reseed(seed)
 	m.faults = nil
 	for i := range m.threads {
 		m.threads[i] = nil
@@ -281,7 +287,7 @@ func (m *Machine) Reset(seed uint64) {
 		// The governor split replays New's per-socket rng consumption; the
 		// MSR reset above must precede it so the initial operating point
 		// clamps against the default ratio limit, as in NewGovernor.
-		s.Gov.Reset(m.rng.Split(uint64(1000 + i)))
+		s.Gov.Reset(m.rng.SplitInto(s.govRng, uint64(1000+i)))
 		for _, c := range s.Cores {
 			c.Reset()
 			c.Freq = m.cfg.CoreFreq

@@ -100,20 +100,20 @@ func uncoreScale(fCore, fUncore sim.Freq) float64 {
 
 // LLCMeanCycles returns the noise-free mean latency of an LLC hit in core
 // cycles, for hops mesh hops and contention extra uncore cycles.
-func (p Params) LLCMeanCycles(fCore, fUncore sim.Freq, hops int, contention float64) float64 {
+func (p *Params) LLCMeanCycles(fCore, fUncore sim.Freq, hops int, contention float64) float64 {
 	u := p.LLCSliceUncore + 2*float64(hops)*p.HopUncore + contention
 	return p.LLCCoreCycles + u*uncoreScale(fCore, fUncore)
 }
 
 // MemMeanCycles returns the noise-free mean latency of a full miss served
 // by memory, in core cycles.
-func (p Params) MemMeanCycles(fCore, fUncore sim.Freq, hops int, contention float64) float64 {
+func (p *Params) MemMeanCycles(fCore, fUncore sim.Freq, hops int, contention float64) float64 {
 	u := p.LLCSliceUncore + 2*float64(hops)*p.HopUncore + p.MemUncoreCycles + contention
 	return p.LLCCoreCycles + p.MemCoreCycles + u*uncoreScale(fCore, fUncore)
 }
 
 // noise draws the additive measurement noise in core cycles.
-func (p Params) noise(rng *sim.Rand) float64 {
+func (p *Params) noise(rng *sim.Rand) float64 {
 	n := rng.Norm(0, p.NoiseStd)
 	if rng.Bool(p.TailProb) {
 		n += p.TailCycles * (0.5 + rng.Float64())
@@ -124,7 +124,7 @@ func (p Params) noise(rng *sim.Rand) float64 {
 // SampleCycles returns one observed latency, in whole core cycles, for an
 // access served at the given level. hops and contention apply to LLC and
 // memory accesses.
-func (p Params) SampleCycles(level cache.Level, fCore, fUncore sim.Freq, hops int, contention float64, rng *sim.Rand) float64 {
+func (p *Params) SampleCycles(level cache.Level, fCore, fUncore sim.Freq, hops int, contention float64, rng *sim.Rand) float64 {
 	var mean float64
 	switch level {
 	case cache.LevelL1:
@@ -158,7 +158,7 @@ type Drift struct {
 
 // Sample advances the drift process to now and returns the current offset
 // in core cycles.
-func (d *Drift) Sample(p Params, now sim.Time, rng *sim.Rand) float64 {
+func (d *Drift) Sample(p *Params, now sim.Time, rng *sim.Rand) float64 {
 	if p.DriftStd <= 0 || p.DriftPeriod <= 0 {
 		return 0
 	}
@@ -181,7 +181,7 @@ func (d *Drift) Sample(p Params, now sim.Time, rng *sim.Rand) float64 {
 // the implied uncore frequency snapped to the nearest 100 MHz operating
 // point within [lo, hi]. This is the receiver's §4.2 primitive: inferring
 // the uncore frequency from timing alone, without MSR access.
-func (p Params) UncoreFromLatency(latCycles float64, fCore sim.Freq, hops int, lo, hi sim.Freq) sim.Freq {
+func (p *Params) UncoreFromLatency(latCycles float64, fCore sim.Freq, hops int, lo, hi sim.Freq) sim.Freq {
 	u := p.LLCSliceUncore + 2*float64(hops)*p.HopUncore
 	denom := latCycles - p.LLCCoreCycles
 	if denom <= 0 {
@@ -195,14 +195,14 @@ func (p Params) UncoreFromLatency(latCycles float64, fCore sim.Freq, hops int, l
 // TrafficAccessTime returns the average spacing between LLC accesses of
 // one traffic-loop thread (Listing 1) at the given frequencies and hop
 // distance: latency divided by the loop's memory-level parallelism.
-func (p Params) TrafficAccessTime(fCore, fUncore sim.Freq, hops int) sim.Time {
+func (p *Params) TrafficAccessTime(fCore, fUncore sim.Freq, hops int) sim.Time {
 	lat := p.LLCMeanCycles(fCore, fUncore, hops, 0)
 	return fCore.TimeFor(lat / p.TrafficMLP)
 }
 
 // ChaseAccessTime returns the spacing between accesses of a pointer-chase
 // thread (Listing 2): fully serialized, MLP 1.
-func (p Params) ChaseAccessTime(fCore, fUncore sim.Freq, hops int) sim.Time {
+func (p *Params) ChaseAccessTime(fCore, fUncore sim.Freq, hops int) sim.Time {
 	lat := p.LLCMeanCycles(fCore, fUncore, hops, 0)
 	return fCore.TimeFor(lat)
 }
@@ -211,6 +211,6 @@ func (p Params) ChaseAccessTime(fCore, fUncore sim.Freq, hops int) sim.Time {
 // reference traffic thread (0-hop, full MLP) at the given frequencies.
 // The UFS governor normalizes observed access counts by this rate, so
 // "one busy traffic thread" is one unit of LLC utilisation.
-func (p Params) ReferenceRate(fCore, fUncore sim.Freq) float64 {
+func (p *Params) ReferenceRate(fCore, fUncore sim.Freq) float64 {
 	return 1 / p.TrafficAccessTime(fCore, fUncore, 0).Seconds()
 }

@@ -110,10 +110,10 @@ func TestDriftProperties(t *testing.T) {
 	// Mean near zero, bounded magnitude, correlation over short gaps.
 	var sum, sumSq float64
 	const n = 5000
-	prev := d.Sample(p, 0, rng)
+	prev := d.Sample(&p, 0, rng)
 	var corr float64
 	for i := 1; i <= n; i++ {
-		v := d.Sample(p, sim.Time(i)*p.DriftPeriod, rng)
+		v := d.Sample(&p, sim.Time(i)*p.DriftPeriod, rng)
 		sum += v
 		sumSq += v * v
 		corr += v * prev
@@ -131,14 +131,14 @@ func TestDriftProperties(t *testing.T) {
 		t.Errorf("drift not positively correlated: %v vs var %v", corr/n, variance)
 	}
 	// A long gap resamples rather than iterating thousands of steps.
-	d.Sample(p, sim.Time(n+1000)*p.DriftPeriod, rng)
+	d.Sample(&p, sim.Time(n+1000)*p.DriftPeriod, rng)
 }
 
 func TestDriftDisabled(t *testing.T) {
 	p := Default()
 	p.DriftStd = 0
 	var d Drift
-	if v := d.Sample(p, sim.Second, sim.NewRand(1)); v != 0 {
+	if v := d.Sample(&p, sim.Second, sim.NewRand(1)); v != 0 {
 		t.Errorf("disabled drift returned %v", v)
 	}
 }

@@ -105,7 +105,7 @@ func DefaultParams() Params {
 
 // DistanceWeight returns the pressure weight of one LLC transaction that
 // travels h hops.
-func (p Params) DistanceWeight(h int) float64 {
+func (p *Params) DistanceWeight(h int) float64 {
 	if h < 0 {
 		panic(fmt.Sprintf("ufs: negative hop count %d", h))
 	}

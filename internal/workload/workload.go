@@ -51,7 +51,7 @@ type Traffic struct {
 // Step implements system.Workload.
 func (w *Traffic) Step(ctx *system.Ctx) system.Activity {
 	hops := ctx.HopsTo(w.Slice)
-	per := ctx.Machine().Config().Timing.TrafficAccessTime(ctx.CoreFreq(), ctx.UncoreFreq(), hops)
+	per := ctx.Timing().TrafficAccessTime(ctx.CoreFreq(), ctx.UncoreFreq(), hops)
 	n := float64(ctx.Quantum()) / float64(per)
 	ctx.InjectTraffic(w.Slice, n)
 	cycles := fullQuantumCycles(ctx)
@@ -75,7 +75,7 @@ type Stalling struct {
 // Step implements system.Workload.
 func (w *Stalling) Step(ctx *system.Ctx) system.Activity {
 	hops := ctx.HopsTo(w.Slice)
-	tm := ctx.Machine().Config().Timing
+	tm := ctx.Timing()
 	per := tm.ChaseAccessTime(ctx.CoreFreq(), ctx.UncoreFreq(), hops)
 	n := float64(ctx.Quantum()) / float64(per)
 	ctx.InjectTraffic(w.Slice, n)
