@@ -93,6 +93,7 @@ func Cases() []Case {
 		{Name: "engine-dispatch", ZeroAlloc: true, Fn: benchEngineDispatch},
 		{Name: "mesh-add-traffic", ZeroAlloc: true, Fn: benchMeshAddTraffic},
 		{Name: "mesh-contention", ZeroAlloc: true, Fn: benchMeshContention},
+		{Name: "mesh-transact", ZeroAlloc: true, Fn: benchMeshTransact},
 		{Name: "cache-l1-hit", ZeroAlloc: true, Fn: benchCacheL1Hit},
 		{Name: "cache-llc-hit", ZeroAlloc: true, Fn: benchCacheLLCHit},
 		{Name: "cache-flush", ZeroAlloc: true, Fn: benchCacheFlush},
@@ -205,6 +206,17 @@ func benchMeshContention(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ContentionCycles(0, src, dst)
+	}
+}
+
+func benchMeshTransact(b *testing.B) {
+	m, src, dst := benchMesh()
+	m.BeginQuantum(200*sim.Microsecond, sim.Freq(24))
+	m.AddTraffic(1, src, dst, 50000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Transact(0, src, dst)
 	}
 }
 

@@ -103,9 +103,10 @@ type Hierarchy struct {
 	slices []*SetAssoc
 	cores  []*CoreCaches
 
-	// hashes holds the per-domain slice hash; index 0 is the default
-	// used for any domain without an override.
-	defaultHash SliceHash
+	// defaultHash is the slice hash of every domain without an entry in
+	// domainHash. It is held as the concrete type so the common path (no
+	// per-domain hash installed) hashes without interface dispatch.
+	defaultHash XORFoldHash
 	domainHash  map[Domain]SliceHash
 
 	index    IndexFn
@@ -169,20 +170,16 @@ func (h *Hierarchy) SetDomainWays(d Domain, wr WayRange) { h.ways[d] = wr }
 // Watch registers an eviction watcher.
 func (h *Hierarchy) Watch(w EvictionWatcher) { h.watchers = append(h.watchers, w) }
 
-func (h *Hierarchy) hashFor(d Domain) SliceHash {
+// SliceOf returns the home LLC slice of line for domain d.
+func (h *Hierarchy) SliceOf(d Domain, line Line) int {
 	// The common platform installs no per-domain hash; skip the map probe
 	// entirely on that hot path.
 	if len(h.domainHash) != 0 {
 		if sh, ok := h.domainHash[d]; ok {
-			return sh
+			return sh.Slice(line)
 		}
 	}
-	return h.defaultHash
-}
-
-// SliceOf returns the home LLC slice of line for domain d.
-func (h *Hierarchy) SliceOf(d Domain, line Line) int {
-	return h.hashFor(d).Slice(line)
+	return h.defaultHash.Slice(line)
 }
 
 // LLCSetOf returns the set index of line within its slice for domain d.
@@ -210,20 +207,6 @@ func (h *Hierarchy) llcInsert(d Domain, line Line) {
 			w(evicted, slice)
 		}
 	}
-}
-
-// llcLookup checks for line in its home slice for domain d, updating LRU.
-func (h *Hierarchy) llcLookup(d Domain, line Line) (slice int, hit bool) {
-	slice = h.SliceOf(d, line)
-	set := h.LLCSetOf(d, line)
-	return slice, h.slices[slice].Lookup(set, line)
-}
-
-// llcRemove drops line from its home slice (non-inclusive move to L2).
-func (h *Hierarchy) llcRemove(d Domain, line Line) {
-	slice := h.SliceOf(d, line)
-	set := h.LLCSetOf(d, line)
-	h.slices[slice].Remove(set, line)
 }
 
 // LLCContains probes for line without updating replacement state.
@@ -325,17 +308,22 @@ func (cc *CoreCaches) L2SetOf(line Line) int {
 // served. Fill policy (Skylake-SP, Table 1): L2 is inclusive of L1, the
 // LLC is a non-inclusive victim of the L2 — lines move LLC→L2 on a hit and
 // L2→LLC on eviction; memory fills bypass LLC allocation.
+//
+// The line is hashed to its home slice once, up front, and an LLC hit is a
+// single scan that removes the line as it finds it. The hit needs no LRU
+// stamp: its way is invalidated at once, and an unstamped hit shifts later
+// ages without reordering them.
 func (cc *CoreCaches) Access(d Domain, line Line) AccessResult {
+	slice := cc.h.SliceOf(d, line)
 	if cc.l1.Lookup(cc.L1SetOf(line), line) {
-		return AccessResult{Level: LevelL1, Slice: cc.h.SliceOf(d, line)}
+		return AccessResult{Level: LevelL1, Slice: slice}
 	}
 	if cc.l2.Lookup(cc.L2SetOf(line), line) {
 		cc.fillL1(line)
-		return AccessResult{Level: LevelL2, Slice: cc.h.SliceOf(d, line)}
+		return AccessResult{Level: LevelL2, Slice: slice}
 	}
-	slice, hit := cc.h.llcLookup(d, line)
-	if hit {
-		cc.h.llcRemove(d, line) // non-inclusive: promote to L2
+	if cc.h.slices[slice].Remove(cc.h.LLCSetOf(d, line), line) {
+		// Non-inclusive: the hit promotes the line to L2.
 		cc.fillL2(d, line)
 		cc.fillL1(line)
 		return AccessResult{Level: LevelLLC, Slice: slice}

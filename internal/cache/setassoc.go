@@ -21,13 +21,14 @@ const LineSize = 64
 // right by 6).
 type Line uint64
 
-// way is one cache way: the resident line, its LRU stamp, and a validity
-// flag, kept together so a set lookup walks one contiguous array instead
-// of three parallel slices.
+// way is one cache way: the resident line and its LRU stamp, 16 bytes,
+// kept together so a set lookup walks one contiguous array. An age of
+// zero marks the way invalid: the array's stamp is incremented before
+// every store, so a valid way's age is at least 1. An invalid way may
+// still hold a stale line; every scan tests the age, not the line.
 type way struct {
-	line  Line
-	age   uint64
-	valid bool
+	line Line
+	age  uint64
 }
 
 // SetAssoc is one set-associative cache array with true-LRU replacement.
@@ -35,9 +36,13 @@ type way struct {
 // defences are expressed. Each set's ways are contiguous in memory; every
 // operation is a single pass over that span and allocates nothing.
 //
+// Valid ages are unique and invalid ways have age 0, so the replacement
+// victim — the first invalid way, else the least recently used — is simply
+// the first way of smallest age.
+//
 // Only InsertWays ever makes a way valid (Lookup re-stamps ways that are
-// already valid; Remove and Flush only clear the valid flag), so a set
-// never inserted into since the last Reset is still all-zero. The array
+// already valid; Remove and Flush only zero the age), so a set never
+// inserted into since the last Reset is still all-zero. The array
 // records each set the first time InsertWays writes it, and Reset clears
 // just those: its cost scales with the sets touched, not the array size.
 type SetAssoc struct {
@@ -94,7 +99,7 @@ func (c *SetAssoc) Lookup(set int, line Line) bool {
 	c.checkSet(set)
 	ws := c.span(set)
 	for i := range ws {
-		if ws[i].valid && ws[i].line == line {
+		if ws[i].line == line && ws[i].age != 0 {
 			c.stamp++
 			ws[i].age = c.stamp
 			return true
@@ -109,7 +114,7 @@ func (c *SetAssoc) Contains(set int, line Line) bool {
 	c.checkSet(set)
 	ws := c.span(set)
 	for i := range ws {
-		if ws[i].valid && ws[i].line == line {
+		if ws[i].line == line && ws[i].age != 0 {
 			return true
 		}
 	}
@@ -132,14 +137,12 @@ func (c *SetAssoc) InsertWays(set int, line Line, wayLo, wayN int) (evicted Line
 		panic(fmt.Sprintf("cache: way range [%d,%d) outside [0,%d)", wayLo, wayLo+wayN, c.ways))
 	}
 	ws := c.span(set)[wayLo : wayLo+wayN]
-	victim := -1
-	for i := range ws {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-		if victim == -1 || ws[i].age < ws[victim].age {
-			victim = i
+	// Strict < keeps the first way of the smallest age. Nothing beats an
+	// invalid way's age of 0, so the scan stops at the first one.
+	victim, oldest := 0, ws[0].age
+	for i := 1; i < len(ws) && oldest != 0; i++ {
+		if ws[i].age < oldest {
+			victim, oldest = i, ws[i].age
 		}
 	}
 	if !c.dirty[set] {
@@ -147,12 +150,11 @@ func (c *SetAssoc) InsertWays(set int, line Line, wayLo, wayN int) (evicted Line
 		c.dirtyList = append(c.dirtyList, int32(set))
 	}
 	w := &ws[victim]
-	if w.valid {
+	if w.age != 0 {
 		evicted, wasEvicted = w.line, true
 	}
 	c.stamp++
 	w.line = line
-	w.valid = true
 	w.age = c.stamp
 	return evicted, wasEvicted
 }
@@ -162,8 +164,8 @@ func (c *SetAssoc) Remove(set int, line Line) bool {
 	c.checkSet(set)
 	ws := c.span(set)
 	for i := range ws {
-		if ws[i].valid && ws[i].line == line {
-			ws[i].valid = false
+		if ws[i].line == line && ws[i].age != 0 {
+			ws[i].age = 0
 			return true
 		}
 	}
@@ -175,7 +177,7 @@ func (c *SetAssoc) Occupancy(set int) int {
 	c.checkSet(set)
 	n := 0
 	for _, w := range c.span(set) {
-		if w.valid {
+		if w.age != 0 {
 			n++
 		}
 	}
@@ -185,7 +187,7 @@ func (c *SetAssoc) Occupancy(set int) int {
 // Flush invalidates every line in the array.
 func (c *SetAssoc) Flush() {
 	for i := range c.arr {
-		c.arr[i].valid = false
+		c.arr[i].age = 0
 	}
 }
 

@@ -42,6 +42,23 @@ func BenchmarkMeshContentionCycles(b *testing.B) {
 	}
 }
 
+// BenchmarkMeshTransact times one LLC transaction's mesh accounting as
+// the system charges it: contention read and traffic recorded in a single
+// walk of the route, on links already carrying load.
+func BenchmarkMeshTransact(b *testing.B) {
+	m := mesh.New(topo.XeonGold6142Socket0, mesh.KindMesh, mesh.DefaultParams())
+	die := topo.XeonGold6142Socket0
+	src := die.CoreCoord(0)
+	dst := die.SliceCoord(die.NumSlices() - 1)
+	m.BeginQuantum(200000000, 24) // a 200 µs quantum at 2.4 GHz
+	m.AddTraffic(1, src, dst, 50000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Transact(0, src, dst)
+	}
+}
+
 // BenchmarkMeshHops times the precomputed hop-distance lookup.
 func BenchmarkMeshHops(b *testing.B) {
 	m := mesh.New(topo.XeonGold6142Socket0, mesh.KindMesh, mesh.DefaultParams())

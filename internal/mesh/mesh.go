@@ -17,8 +17,8 @@
 // The accounting is index-addressed: every directed link of the floorplan
 // is enumerated once at construction and every (src, dst) route — link-ID
 // path and hop count — is precomputed, so the per-access hot path
-// (AddTraffic, ContentionCycles, Hops) walks dense slices and allocates
-// nothing. Per-quantum load lives in flat per-domain rows indexed by link
+// (Transact, Hops) and the bulk and inspection calls (AddTraffic,
+// ContentionCycles) walk dense slices and allocate nothing. Per-quantum load lives in flat per-domain rows indexed by link
 // ID; BeginQuantum zeroes them in place instead of rebuilding maps.
 package mesh
 
@@ -347,7 +347,7 @@ func (m *Mesh) BeginQuantum(quantum sim.Time, fUncore sim.Freq) {
 
 // Route returns the directed links from src to dst, in route order. It
 // materialises a fresh slice and is meant for inspection and tests; the
-// hot paths (AddTraffic, ContentionCycles, Hops) use the precomputed
+// hot paths (Transact, AddTraffic, ContentionCycles, Hops) use the precomputed
 // link-ID tables directly and never call it.
 func (m *Mesh) Route(src, dst topo.Coord) []Link {
 	if src == dst {
@@ -392,13 +392,8 @@ func (m *Mesh) AddTraffic(d cache.Domain, src, dst topo.Coord, accesses float64)
 	flits := accesses * m.params.FlitsPerAccess
 	row := m.load[m.slot(d)]
 	if m.inGrid(src) && m.inGrid(dst) {
-		for _, ids := range [2][]int32{m.pairRoute(src, dst), m.pairRoute(dst, src)} {
-			for _, id := range ids {
-				row[id] += flits
-				m.total[id] += flits
-				m.totalFlitHops += flits
-			}
-		}
+		m.addFlits(row, m.pairRoute(src, dst), flits)
+		m.addFlits(row, m.pairRoute(dst, src), flits)
 		return
 	}
 	for _, dir := range [2][2]topo.Coord{{src, dst}, {dst, src}} {
@@ -418,32 +413,76 @@ func (m *Mesh) ContentionCycles(d cache.Domain, src, dst topo.Coord) float64 {
 	if src == dst || !m.inGrid(src) || !m.inGrid(dst) {
 		return 0
 	}
-	ids := m.pairRoute(src, dst)
-	var extra float64
-	var row []float64
+	seen := m.total
 	if m.tdm {
-		row = m.load[m.slot(d)]
+		seen = m.load[m.slot(d)]
 	}
+	var extra float64
+	for _, id := range m.pairRoute(src, dst) {
+		extra = m.linkDelay(extra, seen[id])
+	}
+	return extra
+}
+
+// Transact accounts one LLC transaction of domain d between src and dst:
+// it returns the contention the request meets on the src→dst route (as
+// ContentionCycles) and records the transaction's traffic in both
+// directions (as AddTraffic with one access), walking the forward route
+// once. A route never repeats a link, so reading each link's load before
+// adding to it sees exactly what ContentionCycles would have seen first.
+func (m *Mesh) Transact(d cache.Domain, src, dst topo.Coord) float64 {
+	if src == dst {
+		return 0
+	}
+	if !m.inGrid(src) || !m.inGrid(dst) {
+		m.AddTraffic(d, src, dst, 1)
+		return 0
+	}
+	flits := m.params.FlitsPerAccess
+	row := m.load[m.slot(d)]
+	seen := m.total
+	if m.tdm {
+		seen = row
+	}
+	var extra float64
+	for _, id := range m.pairRoute(src, dst) {
+		extra = m.linkDelay(extra, seen[id])
+		row[id] += flits
+		m.total[id] += flits
+		m.totalFlitHops += flits
+	}
+	m.addFlits(row, m.pairRoute(dst, src), flits)
+	return extra
+}
+
+// addFlits loads flits onto every link of a route, in the domain's row
+// and in the cross-domain totals.
+func (m *Mesh) addFlits(row []float64, ids []int32, flits float64) {
 	for _, id := range ids {
-		var flits float64
-		if m.tdm {
-			extra += m.params.TDMSlotCycles
-			// Same-domain queueing still applies below.
-			flits = row[id]
-		} else {
-			flits = m.total[id]
+		row[id] += flits
+		m.total[id] += flits
+		m.totalFlitHops += flits
+	}
+}
+
+// linkDelay adds to extra the delay of crossing one link that carries
+// flits of contending traffic this quantum: the TDM slot-wait, if
+// scheduling is time-multiplexed, then the queueing delay once the link's
+// utilisation passes the contention threshold.
+func (m *Mesh) linkDelay(extra, flits float64) float64 {
+	if m.tdm {
+		extra += m.params.TDMSlotCycles
+	}
+	if flits == 0 || m.capacity <= 0 {
+		return extra
+	}
+	util := flits / m.capacity
+	if util > m.params.ContentionThreshold {
+		over := util - m.params.ContentionThreshold
+		if over > 1 {
+			over = 1
 		}
-		if flits == 0 || m.capacity <= 0 {
-			continue
-		}
-		util := flits / m.capacity
-		if util > m.params.ContentionThreshold {
-			over := util - m.params.ContentionThreshold
-			if over > 1 {
-				over = 1
-			}
-			extra += over * m.params.ContentionMaxCycles
-		}
+		extra += over * m.params.ContentionMaxCycles
 	}
 	return extra
 }

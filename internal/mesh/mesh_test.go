@@ -1,9 +1,14 @@
 package mesh
 
 import (
+	"maps"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -155,4 +160,81 @@ func TestLinkString(t *testing.T) {
 	if l.String() != "(0,1)->(0,2)" {
 		t.Errorf("Link.String() = %q", l.String())
 	}
+}
+
+// TestTransactMatchesContentionThenAddTraffic pins Transact to the pair of
+// calls it replaces: a seeded stream of single transactions, bulk traffic
+// and quantum boundaries runs on two meshes, one answering each
+// transaction with Transact and the other with ContentionCycles followed
+// by AddTraffic(…, 1). The contention returned and every load row, link
+// total and the flit-hop volume must agree bit for bit, on the mesh and
+// the ring, with and without TDM, across several domains (one negative),
+// src == dst pairs and off-grid coordinates.
+func TestTransactMatchesContentionThenAddTraffic(t *testing.T) {
+	coords := []topo.Coord{{Col: 5, Row: 2}, {Col: -1, Row: 0}} // off-grid
+	for r := 0; r < 6; r++ {
+		for c := 0; c < 5; c++ {
+			coords = append(coords, topo.Coord{Col: c, Row: r})
+		}
+	}
+	domains := []cache.Domain{0, 1, 3, -2}
+	for _, kind := range []Kind{KindMesh, KindRing} {
+		for _, tdm := range []bool{false, true} {
+			a, b := newMesh(kind), newMesh(kind)
+			a.SetTDM(tdm)
+			b.SetTDM(tdm)
+			rng := rand.New(rand.NewPCG(uint64(kind), 0x7a5c))
+			delayed := 0
+			for step := 0; step < 20000; step++ {
+				d := domains[rng.IntN(len(domains))]
+				src, dst := coords[rng.IntN(len(coords))], coords[rng.IntN(len(coords))]
+				if rng.IntN(8) == 0 {
+					dst = src
+				}
+				switch op := rng.IntN(100); {
+				case op == 0 && step > 2000: // the first quantum runs at zero capacity
+					f := sim.Freq(12 + rng.IntN(13))
+					a.BeginQuantum(200*sim.Microsecond, f)
+					b.BeginQuantum(200*sim.Microsecond, f)
+				case op < 10:
+					acc := rng.Float64() * 40_000
+					a.AddTraffic(d, src, dst, acc)
+					b.AddTraffic(d, src, dst, acc)
+				default:
+					got := a.Transact(d, src, dst)
+					want := b.ContentionCycles(d, src, dst)
+					b.AddTraffic(d, src, dst, 1)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("kind %d tdm %v step %d: Transact(%d, %v, %v) = %v, ContentionCycles %v",
+							kind, tdm, step, d, src, dst, got, want)
+					}
+					slotOnly := 0.0
+					if tdm {
+						slotOnly = float64(a.Hops(src, dst)) * a.params.TDMSlotCycles
+					}
+					if a.inGrid(src) && a.inGrid(dst) && got > slotOnly {
+						delayed++
+					}
+				}
+				if !sameBits(a.total, b.total) || math.Float64bits(a.totalFlitHops) != math.Float64bits(b.totalFlitHops) {
+					t.Fatalf("kind %d tdm %v step %d: link totals or flit-hops diverge", kind, tdm, step)
+				}
+				if len(a.load) != len(b.load) || !slices.Equal(a.slotOf, b.slotOf) || !maps.Equal(a.negSlot, b.negSlot) {
+					t.Fatalf("kind %d tdm %v step %d: domain slots diverge", kind, tdm, step)
+				}
+				for s := range a.load {
+					if !sameBits(a.load[s], b.load[s]) {
+						t.Fatalf("kind %d tdm %v step %d: load row %d diverges", kind, tdm, step, s)
+					}
+				}
+			}
+			if delayed < 1000 {
+				t.Fatalf("kind %d tdm %v: only %d transactions met contention", kind, tdm, delayed)
+			}
+		}
+	}
+}
+
+func sameBits(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
 }

@@ -61,39 +61,37 @@ func (c *Ctx) CoreFreq() sim.Freq { return c.t.Core.Freq }
 // UncoreFreq returns the socket's current uncore frequency.
 func (c *Ctx) UncoreFreq() sim.Freq { return c.t.Sock.Gov.Current() }
 
-// hopsFor returns the mesh distance from the thread's core to the home
-// slice, and for misses onward to the nearest memory controller.
-func (c *Ctx) hopsFor(res cache.AccessResult) int {
-	die := c.t.Sock.Die
-	sliceTile := die.SliceCoord(res.Slice)
-	h := c.t.Sock.Mesh.Hops(c.t.Core.Tile, sliceTile)
-	if res.Level == cache.LevelMem {
-		best := -1
-		for _, imc := range die.IMCs() {
-			d := c.t.Sock.Mesh.Hops(sliceTile, imc)
-			if best == -1 || d < best {
-				best = d
-			}
-		}
-		if best > 0 {
-			h += best
-		}
-	}
-	return h
-}
-
 // access performs one load through the functional hierarchy and returns
-// its sampled latency in core cycles along with the result.
+// its sampled latency in core cycles along with the result. A load served
+// beyond the private caches crosses the mesh to its home slice: the slice
+// tile and hop count are resolved once and shared by the latency model,
+// the mesh transaction (contention and traffic in one route walk) and the
+// governor's pressure weight. A memory miss adds the hops onward to the
+// nearest memory controller.
 func (c *Ctx) access(line cache.Line) (float64, cache.AccessResult) {
 	t := c.t
 	res := t.Caches.Access(t.Domain, line)
-	hops := c.hopsFor(res)
+	var hops int
 	var contention float64
 	if res.Level >= cache.LevelLLC {
-		contention = t.Sock.Mesh.ContentionCycles(t.Domain, t.Core.Tile, t.Sock.Die.SliceCoord(res.Slice))
-		t.Sock.Mesh.AddTraffic(t.Domain, t.Core.Tile, t.Sock.Die.SliceCoord(res.Slice), 1)
+		sock := t.Sock
+		sliceTile := sock.Die.SliceCoord(res.Slice)
+		hops = sock.Mesh.Hops(t.Core.Tile, sliceTile)
+		contention = sock.Mesh.Transact(t.Domain, t.Core.Tile, sliceTile)
 		c.acc.LLCAccesses++
-		c.acc.Pressure += c.m.cfg.UFS.DistanceWeight(t.Sock.Mesh.Hops(t.Core.Tile, t.Sock.Die.SliceCoord(res.Slice)))
+		c.acc.Pressure += c.m.cfg.UFS.DistanceWeight(hops)
+		if res.Level == cache.LevelMem {
+			best := -1
+			for _, imc := range sock.Die.IMCs() {
+				d := sock.Mesh.Hops(sliceTile, imc)
+				if best == -1 || d < best {
+					best = d
+				}
+			}
+			if best > 0 {
+				hops += best
+			}
+		}
 	}
 	// Individual accesses sample the instantaneous uncore frequency,
 	// which inside the idle band wobbles faster than a governor epoch.
