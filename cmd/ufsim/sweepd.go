@@ -86,10 +86,10 @@ func serveCmd(args []string) int {
 	// disk-fault injector for chaos runs. The same seed drives net and
 	// disk plans, so one flag pair reproduces a whole chaos run.
 	var stateFS vfs.FS = vfs.OS{}
-	var diskPlan *faults.DiskPlan
+	var disk *faults.DiskFS
 	if *chaosDisk > 0 {
-		diskPlan = faults.NewDiskPlan(faults.DefaultDiskConfig(*chaosDisk), *chaosSeed)
-		stateFS = &faults.FaultyFS{Inner: vfs.OS{}, Plan: diskPlan}
+		disk = faults.NewFaultyDisk(vfs.OS{}, faults.DefaultDiskConfig(*chaosDisk), *chaosSeed)
+		stateFS = disk
 	}
 
 	units := sweepd.ReplicaUnits(ids, *seed, *quick, *replicas)
@@ -193,8 +193,8 @@ func serveCmd(args []string) int {
 		if overload != nil {
 			fmt.Fprintf(os.Stderr, "ufsim serve: overload stats: %+v (gate %+v)\n", overload.Stats(), gate.Stats())
 		}
-		if diskPlan != nil {
-			fmt.Fprintf(os.Stderr, "ufsim serve: disk chaos stats: %+v\n", diskPlan.Stats())
+		if disk != nil {
+			fmt.Fprintf(os.Stderr, "ufsim serve: disk chaos stats: %+v\n", disk.Stats())
 		}
 		return finishSweep(c, *artifacts, drained(signalled))
 	}

@@ -3,100 +3,142 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
-// Disk faults: PR 6 made the network an adversary (NetPlan); this file
-// makes the disk one. Two layers compose over the vfs.FS seam:
+// Disk faults: NetPlan makes the network an adversary; DiskFS makes the
+// disk one. It is the one disk-fault injector over the vfs.FS seam, and
+// it decides every disk fault under one lock:
 //
-//   - DiskFS is an in-memory filesystem with an explicit crash model.
-//     It distinguishes written from durable: file bytes become durable
-//     only at File.Sync, and directory entries (creations, renames,
-//     removals) only at SyncDir on the parent. Crash() discards
-//     everything volatile — unsynced appends survive only as a
-//     deterministic torn prefix, unsynced renames roll back, unsynced
-//     removals resurrect — which is exactly the state a machine reboot
-//     hands a recovery path. CrashAfter(k) arms a kill at the k-th
-//     mutating operation, so a test can enumerate every write boundary
-//     in a workload and crash at each one.
+//   - The crash kill. CrashAfter(k) arms a kill at the k-th mutating
+//     operation (creates, writes, syncs, renames, removes, dir syncs),
+//     so a test can enumerate every write boundary in a workload and
+//     crash at each one; Crash() then reboots the store.
+//   - Transient faults from a DiskConfig: failed and short writes,
+//     fsync errors, rename errors. A verdict is a pure function of
+//     (seed, op kind, target, per-(kind, target) op index). The target
+//     is the cleaned path minus any WriteFileAtomic ".tmp-*" suffix, so
+//     neither random temp names nor "dir/" vs "dir" spellings change a
+//     chaos run's fault pattern.
 //
-//   - FaultyFS wraps any vfs.FS (the real one or a DiskFS) and injects
-//     transient I/O errors from a DiskPlan: failed and short writes,
-//     fsync errors, rename errors, ENOSPC after a byte budget, and
-//     silent bit flips. Like NetPlan, the plan is deterministic per
-//     (seed, path, op index): each path gets its own sim.Rand stream
-//     split from the plan seed by a stable hash, so a chaos run's fault
-//     pattern is reproducible regardless of goroutine interleaving.
-//
-// Composition order matters: FaultyFS{Inner: DiskFS} means an injected
-// fsync error really does leave the bytes volatile underneath, so a
-// later crash tests the code's handling of both layers at once.
+// DiskFS stores into a fresh in-memory store (memFS) or, in
+// pass-through mode, into any other vfs.FS such as vfs.OS for
+// `ufsim serve -chaos-disk`. Over memFS an injected fsync error really
+// does leave the bytes volatile, so a later crash tests both at once.
 
 // ErrCrashed is returned by every DiskFS operation at and after the
 // armed crash boundary: the process is "dead" until Crash() reboots the
 // filesystem into its durable state.
 var ErrCrashed = errors.New("faults: filesystem crashed")
 
-// ErrDiskFault marks a transient injected I/O error from FaultyFS.
+// ErrDiskFault marks a transient injected I/O error.
 var ErrDiskFault = errors.New("faults: injected disk fault")
 
-// dfile is one file's bytes plus the watermark of what Sync has made
-// durable. Content past synced is volatile: a crash keeps only a torn
-// prefix of it.
-type dfile struct {
-	data   []byte
-	synced int
+// DiskConfig describes one transient disk-fault mix. The zero value
+// injects nothing; DefaultDiskConfig scales a representative mix by one
+// intensity knob.
+type DiskConfig struct {
+	// WriteErrProb fails a write outright (nothing persisted);
+	// ShortWriteProb persists a prefix of the buffer and then fails —
+	// the torn-record shape journal recovery must absorb.
+	WriteErrProb   float64
+	ShortWriteProb float64
+	// SyncErrProb fails a file or directory fsync.
+	SyncErrProb float64
+	// RenameErrProb fails an atomic swap.
+	RenameErrProb float64
 }
 
-// DiskFS is the in-memory crash-model filesystem. Safe for concurrent
-// use.
+// DefaultDiskConfig scales a representative transient-fault mix by
+// intensity in [0, 1].
+func DefaultDiskConfig(intensity float64) DiskConfig {
+	intensity = min(max(intensity, 0), 1)
+	return DiskConfig{
+		WriteErrProb:   0.03 * intensity,
+		ShortWriteProb: 0.03 * intensity,
+		SyncErrProb:    0.05 * intensity,
+		RenameErrProb:  0.02 * intensity,
+	}
+}
+
+// DiskStats counts the writes that consulted a non-zero DiskConfig and
+// the faults it injected. Every field is a function of the verdicts
+// alone, so one seed and one op sequence give one DiskStats.
+type DiskStats struct {
+	Writes, WriteErrs, ShortWrites, SyncErrs, RenameErrs int
+}
+
+// opKind classifies an operation for the injector. opPlain ops (reads,
+// mkdir, handle housekeeping) only fail once dead; the rest are crash
+// boundaries, and the last three draw transient verdicts.
+type opKind uint64
+
+const (
+	opPlain opKind = iota
+	opMutate
+	opWrite
+	opSync // file and directory fsyncs alike
+	opRename
+)
+
+// opKey is one verdict stream: an op kind on one target.
+type opKey struct {
+	kind   opKind
+	target string
+}
+
+// DiskFS is the disk-fault injector. Safe for concurrent use.
 type DiskFS struct {
-	mu  sync.Mutex
-	rng *sim.Rand
+	inner  vfs.FS
+	mem    *memFS // the in-memory store; nil in pass-through mode
+	cfg    DiskConfig
+	seed   uint64
+	faulty bool // cfg is non-zero
 
-	dirs map[string]bool
-	// live is the namespace the running process sees; durable maps the
-	// names whose directory entries have reached "disk" (SyncDir). The
-	// two share *dfile pointers: content durability is the per-file
-	// synced watermark, entry durability is membership here.
-	live    map[string]*dfile
-	durable map[string]*dfile
-
-	tempSeq int
+	mu      sync.Mutex
 	ops     int
 	crashAt int // mutating-op index to die at; -1 disarmed
 	crashed bool
+	seen    map[opKey]uint64 // per-(kind, target) op index
+	rng     *sim.Rand        // reseeded per verdict
+	stats   DiskStats
 }
 
 var _ vfs.FS = (*DiskFS)(nil)
 
-// NewDiskFS builds an empty crash-model filesystem. The seed drives the
-// torn-tail draws at Crash time.
-func NewDiskFS(seed uint64) *DiskFS {
-	return &DiskFS{
-		rng:     sim.NewRand(seed),
-		dirs:    map[string]bool{".": true, "/": true},
-		live:    map[string]*dfile{},
-		durable: map[string]*dfile{},
-		crashAt: -1,
+// NewDiskFS builds a fault-free injector over a fresh in-memory store:
+// only an armed CrashAfter kills. The seed drives the torn-tail draws
+// at Crash time.
+func NewDiskFS(seed uint64) *DiskFS { return NewFaultyDisk(nil, DiskConfig{}, seed) }
+
+// NewFaultyDisk builds an injector applying cfg, deterministic in seed,
+// over inner — or, when inner is nil, over a fresh in-memory store
+// whose torn tails the same seed drives.
+func NewFaultyDisk(inner vfs.FS, cfg DiskConfig, seed uint64) *DiskFS {
+	d := &DiskFS{inner: inner, cfg: cfg, seed: seed, faulty: cfg != DiskConfig{}, crashAt: -1}
+	if inner == nil {
+		d.mem = newMemFS(seed)
+		d.inner = d.mem
 	}
+	if d.faulty {
+		d.seen = map[opKey]uint64{}
+		d.rng = sim.NewRand(seed)
+	}
+	return d
 }
 
-// CrashAfter arms a kill: the first k mutating operations (creates,
-// writes, syncs, renames, removes, dir syncs) succeed and the next one
-// — and everything after it — returns ErrCrashed without being applied.
-// k=0 kills the very first one. Call Crash to reboot.
+// CrashAfter arms a kill: the first k mutating operations succeed and
+// the next one — and everything after it — returns ErrCrashed without
+// being applied. k=0 kills the very first one. Call Crash to reboot.
 func (d *DiskFS) CrashAfter(k int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -104,8 +146,8 @@ func (d *DiskFS) CrashAfter(k int) {
 	d.crashed = false
 }
 
-// Ops returns how many mutating operations have been applied, i.e. the
-// number of distinct crash boundaries a workload replay can arm.
+// Ops returns how many mutating operations have passed the crash gate:
+// the number of distinct crash boundaries a workload replay can arm.
 func (d *DiskFS) Ops() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -119,186 +161,338 @@ func (d *DiskFS) Crashed() bool {
 	return d.crashed
 }
 
-// Crash reboots the filesystem into its durable state: only entries
-// made durable by SyncDir survive, each holding its synced bytes plus a
-// deterministic torn prefix of any unsynced tail. The crash arm is
-// cleared so recovery code can run against the same filesystem.
+// Crash reboots the in-memory store into its durable state (a
+// pass-through store has nothing volatile to drop) and clears the crash
+// arm so recovery code can run against the same filesystem.
 func (d *DiskFS) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	live := make(map[string]*dfile, len(d.durable))
-	for name, f := range d.durable {
-		n := f.synced
-		if len(f.data) > n {
-			// The unsynced tail may have partially reached the platter:
-			// keep a random prefix of it (possibly none, possibly all).
-			n += d.rng.IntN(len(f.data) - n + 1)
-		}
-		nf := &dfile{data: append([]byte(nil), f.data[:n]...)}
-		nf.synced = len(nf.data)
-		live[name] = nf
-	}
-	d.live = live
-	d.durable = make(map[string]*dfile, len(live))
-	for name, f := range live {
-		d.durable[name] = f
+	if d.mem != nil {
+		d.mem.crash()
 	}
 	d.crashed = false
 	d.crashAt = -1
 }
 
-// Corrupt flips the low bit of byte off in name's content, modeling bit
-// rot that arrives after the write was acknowledged (it corrupts the
-// durable bytes in place).
-func (d *DiskFS) Corrupt(name string, off int) error {
+// Stats snapshots the transient-fault counters.
+func (d *DiskFS) Stats() DiskStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f, ok := d.live[filepath.Clean(name)]
-	if !ok {
-		return &fs.PathError{Op: "corrupt", Path: name, Err: fs.ErrNotExist}
-	}
-	if off < 0 || off >= len(f.data) {
-		return fmt.Errorf("faults: corrupt %s: offset %d out of range [0,%d)", name, off, len(f.data))
-	}
-	f.data[off] ^= 1
-	return nil
+	return d.stats
 }
 
-// gate is the crash boundary every mutating operation passes (lock
-// held). It either admits the op — counting it — or kills it.
-func (d *DiskFS) gate() error {
-	if d.crashed {
-		return ErrCrashed
-	}
-	if d.crashAt >= 0 && d.ops >= d.crashAt {
+// admitLocked decides one operation's fate: dead after the kill, then
+// the crash gate, then the transient verdict. For a write of n bytes it
+// returns how many to persist before failing with err.
+func (d *DiskFS) admitLocked(kind opKind, name string, n int) (keep int, err error) {
+	switch {
+	case d.crashed:
+		return 0, ErrCrashed
+	case kind == opPlain:
+		return n, nil
+	case d.crashAt >= 0 && d.ops >= d.crashAt:
 		d.crashed = true
-		return ErrCrashed
+		return 0, ErrCrashed
 	}
 	d.ops++
-	return nil
+	if !d.faulty || kind == opMutate {
+		return n, nil
+	}
+	target := filepath.Clean(name)
+	if i := strings.LastIndex(target, ".tmp-"); i >= 0 && !strings.ContainsRune(target[i:], filepath.Separator) {
+		target = target[:i]
+	}
+	key := opKey{kind, target}
+	idx := d.seen[key]
+	d.seen[key] = idx + 1
+	r := d.rng
+	r.Reseed(d.seed ^ sim.HashString(target) ^ (uint64(kind)<<32|idx)*0xbf58476d1ce4e5b9)
+
+	switch kind {
+	case opWrite:
+		d.stats.Writes++
+		switch {
+		case r.Bool(d.cfg.WriteErrProb):
+			d.stats.WriteErrs++
+			return 0, fmt.Errorf("%w: write %s", ErrDiskFault, target)
+		case n > 1 && r.Bool(d.cfg.ShortWriteProb):
+			d.stats.ShortWrites++
+			keep = r.IntN(n) // persist [0, n) bytes, then fail
+			return keep, fmt.Errorf("%w: short write %s (%d of %d bytes)", ErrDiskFault, target, keep, n)
+		}
+	case opSync:
+		if r.Bool(d.cfg.SyncErrProb) {
+			d.stats.SyncErrs++
+			return 0, fmt.Errorf("%w: fsync %s", ErrDiskFault, target)
+		}
+	case opRename:
+		if r.Bool(d.cfg.RenameErrProb) {
+			d.stats.RenameErrs++
+			return 0, fmt.Errorf("%w: rename %s", ErrDiskFault, target)
+		}
+	}
+	return n, nil
 }
 
-func (d *DiskFS) deadLocked() error {
-	if d.crashed {
-		return ErrCrashed
+// run applies op to the store, under the lock, once admitted.
+func (d *DiskFS) run(kind opKind, name string, op func() error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, err := d.admitLocked(kind, name, 0); err != nil {
+		return err
 	}
-	return nil
+	return op()
+}
+
+// do is run for operations that return a value.
+func do[T any](d *DiskFS, kind opKind, name string, op func() (T, error)) (T, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, err := d.admitLocked(kind, name, 0); err != nil {
+		var zero T
+		return zero, err
+	}
+	return op()
+}
+
+// wrap routes an opened file's operations back through the injector.
+func (d *DiskFS) wrap(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &diskFile{File: f, d: d}, nil
+}
+
+// MkdirAll implements vfs.FS.
+func (d *DiskFS) MkdirAll(dir string, perm fs.FileMode) error {
+	return d.run(opPlain, dir, func() error { return d.inner.MkdirAll(dir, perm) })
+}
+
+// Create implements vfs.FS.
+func (d *DiskFS) Create(name string) (vfs.File, error) {
+	return d.wrap(do(d, opMutate, name, func() (vfs.File, error) { return d.inner.Create(name) }))
+}
+
+// CreateTemp implements vfs.FS.
+func (d *DiskFS) CreateTemp(dir, pattern string) (vfs.File, error) {
+	return d.wrap(do(d, opMutate, dir, func() (vfs.File, error) { return d.inner.CreateTemp(dir, pattern) }))
+}
+
+// Append implements vfs.FS.
+func (d *DiskFS) Append(name string) (vfs.File, error) {
+	return d.wrap(do(d, opMutate, name, func() (vfs.File, error) { return d.inner.Append(name) }))
+}
+
+// Open implements vfs.FS.
+func (d *DiskFS) Open(name string) (vfs.File, error) {
+	return d.wrap(do(d, opPlain, name, func() (vfs.File, error) { return d.inner.Open(name) }))
+}
+
+// ReadFile implements vfs.FS.
+func (d *DiskFS) ReadFile(name string) ([]byte, error) {
+	return do(d, opPlain, name, func() ([]byte, error) { return d.inner.ReadFile(name) })
+}
+
+// Rename implements vfs.FS; the verdict keys on the destination.
+func (d *DiskFS) Rename(oldpath, newpath string) error {
+	return d.run(opRename, newpath, func() error { return d.inner.Rename(oldpath, newpath) })
+}
+
+// Remove implements vfs.FS.
+func (d *DiskFS) Remove(name string) error {
+	return d.run(opMutate, name, func() error { return d.inner.Remove(name) })
+}
+
+// Stat implements vfs.FS.
+func (d *DiskFS) Stat(name string) (fs.FileInfo, error) {
+	return do(d, opPlain, name, func() (fs.FileInfo, error) { return d.inner.Stat(name) })
+}
+
+// ReadDir implements vfs.FS.
+func (d *DiskFS) ReadDir(dir string) ([]fs.DirEntry, error) {
+	return do(d, opPlain, dir, func() ([]fs.DirEntry, error) { return d.inner.ReadDir(dir) })
+}
+
+// SyncDir implements vfs.FS.
+func (d *DiskFS) SyncDir(dir string) error {
+	return d.run(opSync, dir, func() error { return d.inner.SyncDir(dir) })
+}
+
+// diskFile is a store handle behind the injector.
+type diskFile struct {
+	vfs.File
+	d *DiskFS
+}
+
+func (h *diskFile) Read(p []byte) (int, error) {
+	return do(h.d, opPlain, "", func() (int, error) { return h.File.Read(p) })
+}
+
+// Write persists the verdict's prefix of p, then reports its fault.
+func (h *diskFile) Write(p []byte) (int, error) {
+	h.d.mu.Lock()
+	defer h.d.mu.Unlock()
+	keep, err := h.d.admitLocked(opWrite, h.Name(), len(p))
+	if keep == 0 && err != nil {
+		return 0, err
+	}
+	n, werr := h.File.Write(p[:keep])
+	if werr != nil {
+		return n, werr
+	}
+	return n, err
+}
+
+func (h *diskFile) Sync() error { return h.d.run(opSync, h.Name(), h.File.Sync) }
+
+func (h *diskFile) Chmod(mode fs.FileMode) error {
+	return h.d.run(opPlain, "", func() error { return h.File.Chmod(mode) })
+}
+
+func (h *diskFile) Close() error { return h.d.run(opPlain, "", h.File.Close) }
+
+// memFS is the in-memory store: a filesystem that distinguishes written
+// from durable. File bytes become durable only at File.Sync, and
+// directory entries (creations, renames, removals) only at SyncDir on
+// the parent. crash discards everything volatile — unsynced appends
+// survive only as a deterministic torn prefix, unsynced renames roll
+// back, unsynced removals resurrect — which is exactly the state a
+// machine reboot hands a recovery path. memFS takes no lock and decides
+// no fault: its DiskFS does both.
+type memFS struct {
+	rng *sim.Rand // torn-tail draws at crash time
+
+	dirs map[string]bool
+	// live is the namespace the running process sees; durable maps the
+	// names whose directory entries have reached "disk" (SyncDir). The
+	// two share *dfile pointers: content durability is the per-file
+	// synced watermark, entry durability is membership here.
+	live    map[string]*dfile
+	durable map[string]*dfile
+
+	tempSeq int
+}
+
+// dfile is one file's bytes plus the watermark of what Sync has made
+// durable. Content past synced is volatile: a crash keeps only a torn
+// prefix of it.
+type dfile struct {
+	data   []byte
+	synced int
+}
+
+func newMemFS(seed uint64) *memFS {
+	return &memFS{
+		rng:     sim.NewRand(seed),
+		dirs:    map[string]bool{".": true, "/": true},
+		live:    map[string]*dfile{},
+		durable: map[string]*dfile{},
+	}
+}
+
+// crash reboots the store into its durable state: only entries made
+// durable by SyncDir survive, each holding its synced bytes plus a
+// deterministic torn prefix of any unsynced tail.
+func (m *memFS) crash() {
+	names := make([]string, 0, len(m.durable))
+	for name := range m.durable {
+		names = append(names, name)
+	}
+	sort.Strings(names) // draw torn tails in a seed-determined order
+	m.live = make(map[string]*dfile, len(m.durable))
+	for _, name := range names {
+		f := m.durable[name]
+		n := f.synced
+		if len(f.data) > n {
+			// The unsynced tail may have partially reached the platter:
+			// keep a random prefix of it (possibly none, possibly all).
+			n += m.rng.IntN(len(f.data) - n + 1)
+		}
+		m.live[name] = &dfile{data: append([]byte(nil), f.data[:n]...), synced: n}
+	}
+	m.durable = make(map[string]*dfile, len(m.live))
+	for name, f := range m.live {
+		m.durable[name] = f
+	}
 }
 
 // MkdirAll implements vfs.FS. Directory creation is treated as
 // immediately durable — the engine's crash surface is file writes, not
 // mkdir.
-func (d *DiskFS) MkdirAll(dir string, _ fs.FileMode) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.deadLocked(); err != nil {
-		return err
-	}
-	dir = filepath.Clean(dir)
-	for dir != "." && dir != "/" && dir != "" {
-		d.dirs[dir] = true
-		dir = filepath.Dir(dir)
+func (m *memFS) MkdirAll(dir string, _ fs.FileMode) error {
+	for dir = filepath.Clean(dir); dir != "." && dir != "/" && dir != ""; dir = filepath.Dir(dir) {
+		m.dirs[dir] = true
 	}
 	return nil
 }
 
-func (d *DiskFS) requireDirLocked(op, name string) error {
-	parent := filepath.Dir(filepath.Clean(name))
-	if !d.dirs[parent] {
+// lookup returns name's live file, or op's not-exist error.
+func (m *memFS) lookup(op, name string) (*dfile, error) {
+	if f, ok := m.live[name]; ok {
+		return f, nil
+	}
+	return nil, &fs.PathError{Op: op, Path: name, Err: fs.ErrNotExist}
+}
+
+// link enters f under name, whose parent directory must exist.
+func (m *memFS) link(op, name string, f *dfile) error {
+	if !m.dirs[filepath.Dir(name)] {
 		return &fs.PathError{Op: op, Path: name, Err: fs.ErrNotExist}
 	}
+	m.live[name] = f
 	return nil
+}
+
+// open links f under name and hands out a writable handle to it.
+func (m *memFS) open(op, name string, f *dfile) (vfs.File, error) {
+	if err := m.link(op, name, f); err != nil {
+		return nil, err
+	}
+	return &memFile{name: name, f: f}, nil
 }
 
 // Create implements vfs.FS: a fresh (truncated) file. The new content
 // and the directory entry are both volatile until synced.
-func (d *DiskFS) Create(name string) (vfs.File, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return nil, err
-	}
-	name = filepath.Clean(name)
-	if err := d.requireDirLocked("create", name); err != nil {
-		return nil, err
-	}
-	f := &dfile{}
-	d.live[name] = f
-	return &dfsFile{fs: d, name: name, f: f}, nil
+func (m *memFS) Create(name string) (vfs.File, error) {
+	return m.open("create", filepath.Clean(name), &dfile{})
 }
 
-// CreateTemp implements vfs.FS.
-func (d *DiskFS) CreateTemp(dir, pattern string) (vfs.File, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return nil, err
-	}
-	if dir == "" {
-		dir = "."
-	}
-	dir = filepath.Clean(dir)
-	if !d.dirs[dir] {
-		return nil, &fs.PathError{Op: "createtemp", Path: dir, Err: fs.ErrNotExist}
-	}
-	d.tempSeq++
-	base := pattern
+// CreateTemp implements vfs.FS, numbering temp names sequentially.
+func (m *memFS) CreateTemp(dir, pattern string) (vfs.File, error) {
+	m.tempSeq++
+	seq := fmt.Sprintf("%09d", m.tempSeq)
+	base := pattern + seq
 	if i := strings.LastIndexByte(pattern, '*'); i >= 0 {
-		base = pattern[:i] + fmt.Sprintf("%09d", d.tempSeq) + pattern[i+1:]
-	} else {
-		base = pattern + fmt.Sprintf("%09d", d.tempSeq)
+		base = pattern[:i] + seq + pattern[i+1:]
 	}
-	name := filepath.Join(dir, base)
-	f := &dfile{}
-	d.live[name] = f
-	return &dfsFile{fs: d, name: name, f: f}, nil
+	return m.open("createtemp", filepath.Join(filepath.Clean(dir), base), &dfile{})
 }
 
 // Append implements vfs.FS: open for appending, creating if absent.
-func (d *DiskFS) Append(name string) (vfs.File, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return nil, err
-	}
+func (m *memFS) Append(name string) (vfs.File, error) {
 	name = filepath.Clean(name)
-	if err := d.requireDirLocked("append", name); err != nil {
-		return nil, err
-	}
-	f, ok := d.live[name]
-	if !ok {
+	f, err := m.lookup("append", name)
+	if err != nil {
 		f = &dfile{}
-		d.live[name] = f
 	}
-	return &dfsFile{fs: d, name: name, f: f}, nil
+	return m.open("append", name, f)
 }
 
 // Open implements vfs.FS (read-only).
-func (d *DiskFS) Open(name string) (vfs.File, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.deadLocked(); err != nil {
+func (m *memFS) Open(name string) (vfs.File, error) {
+	name = filepath.Clean(name)
+	f, err := m.lookup("open", name)
+	if err != nil {
 		return nil, err
 	}
-	name = filepath.Clean(name)
-	f, ok := d.live[name]
-	if !ok {
-		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
-	}
-	return &dfsFile{fs: d, name: name, f: f, readonly: true}, nil
+	return &memFile{name: name, f: f, readonly: true}, nil
 }
 
 // ReadFile implements vfs.FS.
-func (d *DiskFS) ReadFile(name string) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.deadLocked(); err != nil {
+func (m *memFS) ReadFile(name string) ([]byte, error) {
+	f, err := m.lookup("open", filepath.Clean(name))
+	if err != nil {
 		return nil, err
-	}
-	name = filepath.Clean(name)
-	f, ok := d.live[name]
-	if !ok {
-		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	}
 	return append([]byte(nil), f.data...), nil
 }
@@ -306,117 +500,81 @@ func (d *DiskFS) ReadFile(name string) ([]byte, error) {
 // Rename implements vfs.FS. The swapped entry is volatile until SyncDir:
 // a crash before it rolls the target back to its previous content (or
 // absence).
-func (d *DiskFS) Rename(oldpath, newpath string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
+func (m *memFS) Rename(oldpath, newpath string) error {
+	oldpath = filepath.Clean(oldpath)
+	f, err := m.lookup("rename", oldpath)
+	if err != nil {
 		return err
 	}
-	oldpath, newpath = filepath.Clean(oldpath), filepath.Clean(newpath)
-	f, ok := d.live[oldpath]
-	if !ok {
-		return &fs.PathError{Op: "rename", Path: oldpath, Err: fs.ErrNotExist}
-	}
-	if err := d.requireDirLocked("rename", newpath); err != nil {
+	if err := m.link("rename", filepath.Clean(newpath), f); err != nil {
 		return err
 	}
-	d.live[newpath] = f
-	delete(d.live, oldpath)
+	delete(m.live, oldpath)
 	return nil
 }
 
 // Remove implements vfs.FS. Volatile until SyncDir: a crash before it
 // resurrects the file.
-func (d *DiskFS) Remove(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
+func (m *memFS) Remove(name string) error {
+	name = filepath.Clean(name)
+	if _, err := m.lookup("remove", name); err != nil {
 		return err
 	}
-	name = filepath.Clean(name)
-	if _, ok := d.live[name]; !ok {
-		return &fs.PathError{Op: "remove", Path: name, Err: fs.ErrNotExist}
-	}
-	delete(d.live, name)
+	delete(m.live, name)
 	return nil
 }
 
 // Stat implements vfs.FS.
-func (d *DiskFS) Stat(name string) (fs.FileInfo, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.deadLocked(); err != nil {
-		return nil, err
-	}
+func (m *memFS) Stat(name string) (fs.FileInfo, error) {
 	name = filepath.Clean(name)
-	if f, ok := d.live[name]; ok {
+	if f, ok := m.live[name]; ok {
 		return dfileInfo{name: filepath.Base(name), size: int64(len(f.data))}, nil
 	}
-	if d.dirs[name] {
+	if m.dirs[name] {
 		return dfileInfo{name: filepath.Base(name), dir: true}, nil
 	}
 	return nil, &fs.PathError{Op: "stat", Path: name, Err: fs.ErrNotExist}
 }
 
 // ReadDir implements vfs.FS.
-func (d *DiskFS) ReadDir(dir string) ([]fs.DirEntry, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.deadLocked(); err != nil {
-		return nil, err
-	}
+func (m *memFS) ReadDir(dir string) ([]fs.DirEntry, error) {
 	dir = filepath.Clean(dir)
-	if !d.dirs[dir] {
+	if !m.dirs[dir] {
 		return nil, &fs.PathError{Op: "readdir", Path: dir, Err: fs.ErrNotExist}
 	}
-	var names []string
-	for name := range d.live {
+	var entries []fs.DirEntry
+	for name, f := range m.live {
 		if filepath.Dir(name) == dir {
-			names = append(names, name)
+			entries = append(entries, fs.FileInfoToDirEntry(dfileInfo{name: filepath.Base(name), size: int64(len(f.data))}))
 		}
 	}
-	sort.Strings(names)
-	entries := make([]fs.DirEntry, 0, len(names))
-	for _, name := range names {
-		entries = append(entries, fs.FileInfoToDirEntry(dfileInfo{
-			name: filepath.Base(name),
-			size: int64(len(d.live[name].data)),
-		}))
-	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Name() < entries[j].Name() })
 	return entries, nil
 }
 
 // SyncDir implements vfs.FS: dir's entry changes since the last SyncDir
 // become durable — created/renamed names are pinned, removed names are
 // truly gone.
-func (d *DiskFS) SyncDir(dir string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return err
-	}
+func (m *memFS) SyncDir(dir string) error {
 	dir = filepath.Clean(dir)
-	if !d.dirs[dir] {
+	if !m.dirs[dir] {
 		return &fs.PathError{Op: "syncdir", Path: dir, Err: fs.ErrNotExist}
 	}
-	for name, f := range d.live {
+	for name, f := range m.live {
 		if filepath.Dir(name) == dir {
-			d.durable[name] = f
+			m.durable[name] = f
 		}
 	}
-	for name := range d.durable {
-		if filepath.Dir(name) == dir {
-			if _, ok := d.live[name]; !ok {
-				delete(d.durable, name)
-			}
+	for name := range m.durable {
+		if _, ok := m.live[name]; !ok && filepath.Dir(name) == dir {
+			delete(m.durable, name)
 		}
 	}
 	return nil
 }
 
-// dfsFile is a DiskFS handle.
-type dfsFile struct {
-	fs       *DiskFS
+// memFile is a memFS handle.
+type memFile struct {
 	name     string
 	f        *dfile
 	readonly bool
@@ -424,14 +582,9 @@ type dfsFile struct {
 	closed   bool
 }
 
-func (h *dfsFile) Name() string { return h.name }
+func (h *memFile) Name() string { return h.name }
 
-func (h *dfsFile) Read(p []byte) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if err := h.fs.deadLocked(); err != nil {
-		return 0, err
-	}
+func (h *memFile) Read(p []byte) (int, error) {
 	if h.closed {
 		return 0, fs.ErrClosed
 	}
@@ -443,12 +596,7 @@ func (h *dfsFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (h *dfsFile) Write(p []byte) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if err := h.fs.gate(); err != nil {
-		return 0, err
-	}
+func (h *memFile) Write(p []byte) (int, error) {
 	if h.closed {
 		return 0, fs.ErrClosed
 	}
@@ -461,12 +609,7 @@ func (h *dfsFile) Write(p []byte) (int, error) {
 
 // Sync makes the file's current bytes durable (content only — the
 // directory entry needs SyncDir).
-func (h *dfsFile) Sync() error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if err := h.fs.gate(); err != nil {
-		return err
-	}
+func (h *memFile) Sync() error {
 	if h.closed {
 		return fs.ErrClosed
 	}
@@ -474,23 +617,14 @@ func (h *dfsFile) Sync() error {
 	return nil
 }
 
-func (h *dfsFile) Chmod(fs.FileMode) error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	return h.fs.deadLocked()
-}
+func (h *memFile) Chmod(fs.FileMode) error { return nil }
 
-func (h *dfsFile) Close() error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if err := h.fs.deadLocked(); err != nil {
-		return err
-	}
+func (h *memFile) Close() error {
 	h.closed = true
 	return nil
 }
 
-// dfileInfo is the fs.FileInfo for DiskFS entries.
+// dfileInfo is the fs.FileInfo for memFS entries.
 type dfileInfo struct {
 	name string
 	size int64
@@ -508,256 +642,3 @@ func (i dfileInfo) Mode() fs.FileMode {
 func (i dfileInfo) ModTime() time.Time { return time.Time{} }
 func (i dfileInfo) IsDir() bool        { return i.dir }
 func (i dfileInfo) Sys() any           { return nil }
-
-// DiskConfig describes one disk-fault mix for FaultyFS. The zero value
-// injects nothing; DefaultDiskConfig scales a representative transient
-// mix by one intensity knob.
-type DiskConfig struct {
-	// Intensity records the master knob the config was scaled from
-	// (diagnostics only; the individual fields are what act).
-	Intensity float64
-
-	// WriteErrProb fails a write outright (nothing persisted);
-	// ShortWriteProb persists a prefix of the buffer and then fails —
-	// the torn-record shape journal recovery must absorb.
-	WriteErrProb   float64
-	ShortWriteProb float64
-	// SyncErrProb fails an fsync. Over a DiskFS inner, the bytes really
-	// do stay volatile, so a later crash loses them.
-	SyncErrProb float64
-	// RenameErrProb fails an atomic swap.
-	RenameErrProb float64
-
-	// ByteBudget, when positive, is the total number of bytes writable
-	// before every further write fails with ENOSPC. Test-only: left
-	// zero by DefaultDiskConfig.
-	ByteBudget int64
-	// BitFlipProb silently flips one bit of a written buffer — the
-	// media-corruption shape only checksums can catch. Test-only: left
-	// zero by DefaultDiskConfig.
-	BitFlipProb float64
-}
-
-// DefaultDiskConfig scales a representative transient-fault mix by
-// intensity in [0, 1]. ENOSPC and bit flips stay off: they are
-// persistent failure modes for targeted tests, not a chaos background.
-func DefaultDiskConfig(intensity float64) DiskConfig {
-	if intensity < 0 {
-		intensity = 0
-	}
-	if intensity > 1 {
-		intensity = 1
-	}
-	return DiskConfig{
-		Intensity:      intensity,
-		WriteErrProb:   0.03 * intensity,
-		ShortWriteProb: 0.03 * intensity,
-		SyncErrProb:    0.05 * intensity,
-		RenameErrProb:  0.02 * intensity,
-	}
-}
-
-// DiskStats counts injected disk faults.
-type DiskStats struct {
-	Writes, WriteErrs, ShortWrites, SyncErrs, RenameErrs int
-	BitFlips, NoSpace                                    int
-	BytesWritten                                         int64
-}
-
-// DiskPlan issues deterministic disk-fault verdicts. Safe for
-// concurrent use; each path gets its own sim.Rand stream split from the
-// plan seed by a stable hash, so verdicts depend only on (seed, path,
-// op index).
-type DiskPlan struct {
-	cfg  DiskConfig
-	seed uint64
-
-	mu      sync.Mutex
-	streams map[string]*sim.Rand
-	written int64
-	stats   DiskStats
-}
-
-// NewDiskPlan builds a plan over cfg, deterministic in seed.
-func NewDiskPlan(cfg DiskConfig, seed uint64) *DiskPlan {
-	return &DiskPlan{cfg: cfg, seed: seed, streams: map[string]*sim.Rand{}}
-}
-
-// Config returns the plan's fault mix.
-func (p *DiskPlan) Config() DiskConfig { return p.cfg }
-
-// Stats snapshots the injected-fault counters.
-func (p *DiskPlan) Stats() DiskStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// stream returns path's private rand (lock held).
-func (p *DiskPlan) stream(path string) *sim.Rand {
-	r, ok := p.streams[path]
-	if !ok {
-		h := fnv.New64a()
-		h.Write([]byte(path))
-		r = sim.NewRand(p.seed ^ h.Sum64())
-		p.streams[path] = r
-	}
-	return r
-}
-
-// writeVerdict decides the fate of one n-byte write to path.
-// flipAt < 0 means no bit flip; short < 0 means write everything.
-func (p *DiskPlan) writeVerdict(path string, n int) (short int, flipAt int, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Writes++
-	if p.cfg.ByteBudget > 0 && p.written+int64(n) > p.cfg.ByteBudget {
-		p.stats.NoSpace++
-		return 0, -1, &fs.PathError{Op: "write", Path: path, Err: syscall.ENOSPC}
-	}
-	rng := p.stream(path)
-	switch {
-	case p.cfg.WriteErrProb > 0 && rng.Bool(p.cfg.WriteErrProb):
-		p.stats.WriteErrs++
-		return 0, -1, fmt.Errorf("%w: write %s", ErrDiskFault, path)
-	case p.cfg.ShortWriteProb > 0 && n > 1 && rng.Bool(p.cfg.ShortWriteProb):
-		p.stats.ShortWrites++
-		short = rng.IntN(n) // persist [0, n) bytes, then fail
-		p.written += int64(short)
-		p.stats.BytesWritten += int64(short)
-		return short, -1, fmt.Errorf("%w: short write %s (%d of %d bytes)", ErrDiskFault, path, short, n)
-	}
-	if p.cfg.BitFlipProb > 0 && n > 0 && rng.Bool(p.cfg.BitFlipProb) {
-		p.stats.BitFlips++
-		flipAt = rng.IntN(n)
-	} else {
-		flipAt = -1
-	}
-	p.written += int64(n)
-	p.stats.BytesWritten += int64(n)
-	return -1, flipAt, nil
-}
-
-func (p *DiskPlan) syncVerdict(path string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cfg.SyncErrProb > 0 && p.stream(path).Bool(p.cfg.SyncErrProb) {
-		p.stats.SyncErrs++
-		return fmt.Errorf("%w: fsync %s", ErrDiskFault, path)
-	}
-	return nil
-}
-
-func (p *DiskPlan) renameVerdict(path string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cfg.RenameErrProb > 0 && p.stream(path).Bool(p.cfg.RenameErrProb) {
-		p.stats.RenameErrs++
-		return fmt.Errorf("%w: rename %s", ErrDiskFault, path)
-	}
-	return nil
-}
-
-// FaultyFS injects DiskPlan verdicts over an inner filesystem. Reads
-// and namespace operations pass through; writes, fsyncs, and renames
-// consult the plan.
-type FaultyFS struct {
-	Inner vfs.FS
-	Plan  *DiskPlan
-}
-
-var _ vfs.FS = FaultyFS{}
-
-// MkdirAll implements vfs.FS.
-func (f FaultyFS) MkdirAll(dir string, perm fs.FileMode) error { return f.Inner.MkdirAll(dir, perm) }
-
-// Create implements vfs.FS.
-func (f FaultyFS) Create(name string) (vfs.File, error) {
-	inner, err := f.Inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyFile{File: inner, plan: f.Plan}, nil
-}
-
-// CreateTemp implements vfs.FS.
-func (f FaultyFS) CreateTemp(dir, pattern string) (vfs.File, error) {
-	inner, err := f.Inner.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyFile{File: inner, plan: f.Plan}, nil
-}
-
-// Append implements vfs.FS.
-func (f FaultyFS) Append(name string) (vfs.File, error) {
-	inner, err := f.Inner.Append(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyFile{File: inner, plan: f.Plan}, nil
-}
-
-// Open implements vfs.FS.
-func (f FaultyFS) Open(name string) (vfs.File, error) { return f.Inner.Open(name) }
-
-// ReadFile implements vfs.FS.
-func (f FaultyFS) ReadFile(name string) ([]byte, error) { return f.Inner.ReadFile(name) }
-
-// Rename implements vfs.FS.
-func (f FaultyFS) Rename(oldpath, newpath string) error {
-	if err := f.Plan.renameVerdict(newpath); err != nil {
-		return err
-	}
-	return f.Inner.Rename(oldpath, newpath)
-}
-
-// Remove implements vfs.FS.
-func (f FaultyFS) Remove(name string) error { return f.Inner.Remove(name) }
-
-// Stat implements vfs.FS.
-func (f FaultyFS) Stat(name string) (fs.FileInfo, error) { return f.Inner.Stat(name) }
-
-// ReadDir implements vfs.FS.
-func (f FaultyFS) ReadDir(dir string) ([]fs.DirEntry, error) { return f.Inner.ReadDir(dir) }
-
-// SyncDir implements vfs.FS. Directory fsync failures surface through
-// the same sync verdict stream as file fsyncs.
-func (f FaultyFS) SyncDir(dir string) error {
-	if err := f.Plan.syncVerdict(dir); err != nil {
-		return err
-	}
-	return f.Inner.SyncDir(dir)
-}
-
-// faultyFile wraps writes and fsyncs with plan verdicts.
-type faultyFile struct {
-	vfs.File
-	plan *DiskPlan
-}
-
-func (h *faultyFile) Write(p []byte) (int, error) {
-	short, flipAt, err := h.plan.writeVerdict(h.Name(), len(p))
-	if err != nil {
-		if short > 0 {
-			n, werr := h.File.Write(p[:short])
-			if werr != nil {
-				return n, werr
-			}
-		}
-		return max(short, 0), err
-	}
-	if flipAt >= 0 {
-		flipped := append([]byte(nil), p...)
-		flipped[flipAt] ^= 1 << 3
-		return h.File.Write(flipped)
-	}
-	return h.File.Write(p)
-}
-
-func (h *faultyFile) Sync() error {
-	if err := h.plan.syncVerdict(h.Name()); err != nil {
-		return err
-	}
-	return h.File.Sync()
-}

@@ -3,9 +3,10 @@ package faults
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
-	"syscall"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/vfs"
@@ -242,35 +243,55 @@ func TestWriteFileAtomicNeverTornUnderCrash(t *testing.T) {
 	_ = sawNew // crashing *at* the final dir sync may legitimately still yield OLD
 }
 
-// TestDiskPlanDeterminism: identical (seed, path, op sequence) yields
-// identical verdicts; different paths draw from independent streams.
-func TestDiskPlanDeterminism(t *testing.T) {
-	run := func() DiskStats {
-		p := NewDiskPlan(DefaultDiskConfig(1.0), 42)
-		for i := 0; i < 200; i++ {
-			p.writeVerdict("a/wal", 64)
-			p.syncVerdict("a/wal")
-			p.writeVerdict("b/snapshot", 1024)
-			p.renameVerdict("b/snapshot")
+// diskChaosWorkload is the snapshot-plus-journal write pattern of the
+// sweep service: atomic snapshot swaps (random temp names on a real
+// disk) and fsynced appends, with the directory spelled both "dir/" (as
+// WriteFileAtomic passes it) and "dir". Faults are tolerated; only the
+// verdicts matter.
+func diskChaosWorkload(fsys vfs.FS, dir string) {
+	fsys.MkdirAll(dir, 0o755)
+	for i := 0; i < 200; i++ {
+		vfs.WriteFileAtomic(fsys, filepath.Join(dir, "snapshot.json"), func(w io.Writer) error {
+			_, err := fmt.Fprintf(w, "snapshot %d\n", i)
+			return err
+		})
+		if f, err := fsys.Append(filepath.Join(dir, "journal.wal")); err == nil {
+			fmt.Fprintf(f, "record %d\n", i)
+			f.Sync()
+			f.Close()
 		}
-		return p.Stats()
+		fsys.SyncDir(dir)
 	}
-	s1, s2 := run(), run()
-	if s1 != s2 {
-		t.Fatalf("same seed diverged: %+v vs %+v", s1, s2)
+}
+
+// TestDiskPlanDeterminism: one seed and one op sequence yield one set of
+// verdicts — run twice in memory, and once over the real disk, where
+// CreateTemp names are random and must not change the outcome.
+func TestDiskPlanDeterminism(t *testing.T) {
+	cfg := DefaultDiskConfig(1.0)
+	dir := t.TempDir()
+	run := func(inner vfs.FS) DiskStats {
+		d := NewFaultyDisk(inner, cfg, 42)
+		diskChaosWorkload(d, dir)
+		return d.Stats()
 	}
-	if s1.WriteErrs+s1.ShortWrites+s1.SyncErrs+s1.RenameErrs == 0 {
-		t.Fatal("full-intensity plan injected nothing in 800 verdicts")
+	mem1, mem2, onDisk := run(nil), run(nil), run(vfs.OS{})
+	if mem1 != mem2 {
+		t.Fatalf("same seed diverged in memory: %+v vs %+v", mem1, mem2)
+	}
+	if onDisk != mem1 {
+		t.Fatalf("real disk diverged from memory under one seed: %+v vs %+v", onDisk, mem1)
+	}
+	if mem1.WriteErrs+mem1.ShortWrites+mem1.SyncErrs+mem1.RenameErrs == 0 {
+		t.Fatalf("full-intensity injector injected nothing: %+v", mem1)
 	}
 }
 
 // TestFaultyFSShortWritePersistsPrefix: a short-write verdict leaves
-// the persisted prefix behind in the inner filesystem.
+// the persisted prefix behind in the store.
 func TestFaultyFSShortWritePersistsPrefix(t *testing.T) {
-	inner := NewDiskFS(5)
-	plan := NewDiskPlan(DiskConfig{ShortWriteProb: 1.0}, 6)
-	fsys := FaultyFS{Inner: inner, Plan: plan}
-	f, err := fsys.Create("wal")
+	d := NewFaultyDisk(nil, DiskConfig{ShortWriteProb: 1.0}, 6)
+	f, err := d.Create("wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,82 +303,11 @@ func TestFaultyFSShortWritePersistsPrefix(t *testing.T) {
 	if n < 0 || n >= len(payload) {
 		t.Fatalf("short write n = %d", n)
 	}
-	data, err := inner.ReadFile("wal")
+	data, err := d.ReadFile("wal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(data) != n {
-		t.Fatalf("inner holds %d bytes, verdict said %d", len(data), n)
-	}
-}
-
-// TestFaultyFSNoSpace: the byte budget turns into ENOSPC.
-func TestFaultyFSNoSpace(t *testing.T) {
-	inner := NewDiskFS(5)
-	plan := NewDiskPlan(DiskConfig{ByteBudget: 10}, 6)
-	fsys := FaultyFS{Inner: inner, Plan: plan}
-	f, err := fsys.Create("wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("12345678")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("overflow")); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("write past budget err = %v, want ENOSPC", err)
-	}
-	if plan.Stats().NoSpace != 1 {
-		t.Fatalf("stats = %+v", plan.Stats())
-	}
-}
-
-// TestFaultyFSBitFlip: a flip verdict corrupts exactly one bit of the
-// persisted buffer, silently.
-func TestFaultyFSBitFlip(t *testing.T) {
-	inner := NewDiskFS(5)
-	plan := NewDiskPlan(DiskConfig{BitFlipProb: 1.0}, 6)
-	fsys := FaultyFS{Inner: inner, Plan: plan}
-	f, err := fsys.Create("wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0}, 32)
-	if _, err := f.Write(payload); err != nil {
-		t.Fatalf("bit flips must be silent, got %v", err)
-	}
-	data, err := inner.ReadFile("wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := 0
-	for _, b := range data {
-		for ; b != 0; b &= b - 1 {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("%d bits flipped, want exactly 1", diff)
-	}
-	if plan.Stats().BitFlips != 1 {
-		t.Fatalf("stats = %+v", plan.Stats())
-	}
-}
-
-// TestDiskFSCorrupt: the bit-rot helper flips in place.
-func TestDiskFSCorrupt(t *testing.T) {
-	d := NewDiskFS(2)
-	mustWrite(t, d, "snap", "AAAA", true)
-	if err := d.Corrupt("snap", 2); err != nil {
-		t.Fatal(err)
-	}
-	data, err := d.ReadFile("snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "AA@A" { // 'A' ^ 1 = '@'
-		t.Fatalf("corrupted content = %q", data)
-	}
-	if err := d.Corrupt("snap", 99); err == nil {
-		t.Fatal("out-of-range corrupt succeeded")
+		t.Fatalf("store holds %d bytes, verdict said %d", len(data), n)
 	}
 }

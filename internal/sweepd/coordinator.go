@@ -212,7 +212,7 @@ func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 		}
 	}
 	if cfg.StateDir != "" {
-		store, entries, salvage, err := openJournal(c.cfg.FS, cfg.StateDir, cfg.Resume, cfg.Log)
+		store, entries, salvage, err := loadJournal(c.cfg.FS, cfg.StateDir, cfg.Resume, cfg.Log)
 		if err != nil {
 			return nil, err
 		}
@@ -220,6 +220,13 @@ func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 		c.salvage = salvage
 		c.mu.Lock()
 		restored := c.applyEntriesLocked(entries)
+		// The loaded store is dirty, so this compacts the whole table
+		// into the first generation, retried like any transition.
+		if err := c.persistEntriesLocked(nil); err != nil {
+			// No generation this coordinator owns is durable, so nothing
+			// it merges could be either: refuse work from the start.
+			c.degradeLocked(fmt.Sprintf("bootstrap snapshot not durable after %d attempt(s): %v", c.cfg.PersistRetries+1, err))
+		}
 		c.mu.Unlock()
 		if restored > 0 {
 			fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s (journal generation %d)\n", restored, cfg.StateDir, store.gen)

@@ -164,15 +164,17 @@ type journalStore struct {
 	dirty    bool // a failed append may have left a torn frame
 }
 
-// openJournal opens (or initializes) dir's journal and returns the
-// store plus the recovered entries. With resume unset any previous
-// state is ignored and a fresh generation is started; with it set,
-// recovery replays manifest → snapshot → journal, migrating a legacy
-// sweep-state.json when no journal exists yet. A lossy recovery writes
-// salvage-report.json and returns the report; a corrupt snapshot,
-// manifest, or legacy state file is an explicit error (resume must
-// never silently invent a fresh sweep over damaged state).
-func openJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalStore, []stateEntry, *SalvageReport, error) {
+// loadJournal opens dir's journal and returns the store plus the
+// recovered entries. With resume unset any previous state is ignored;
+// with it set, recovery replays manifest → snapshot → journal,
+// migrating a legacy sweep-state.json when no journal exists yet. The
+// store comes back dirty, owning no durable generation yet: the caller
+// makes its first one durable through the same retried persist path as
+// every transition. A lossy recovery writes salvage-report.json and
+// returns the report; a corrupt snapshot, manifest, or legacy state
+// file is an explicit error (resume must never silently invent a fresh
+// sweep over damaged state).
+func loadJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalStore, []stateEntry, *SalvageReport, error) {
 	if log == nil {
 		log = io.Discard
 	}
@@ -263,11 +265,10 @@ func openJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalS
 		}
 	}
 
-	// Roll into a fresh generation: recovery-by-compaction is what
-	// physically discards torn or abandoned journal bytes.
-	if err := js.compact(base); err != nil {
-		return nil, nil, nil, err
-	}
+	// The store starts dirty: the caller's first persist rolls a fresh
+	// generation, and recovery-by-compaction is what physically discards
+	// torn or abandoned journal bytes.
+	js.dirty = true
 	if salvage != nil {
 		fmt.Fprintf(log, "sweepd: journal recovery was lossy (%s): %s\n", salvage.Kind, salvage.Detail)
 		if err := writeSalvage(fsys, dir, *salvage); err != nil {

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,6 +134,19 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err != nil || rep.Kind != "torn-tail" {
 		t.Fatalf("salvage report on disk: %+v, %v", rep, err)
 	}
+}
+
+// openJournal loads dir's journal and makes its first generation
+// durable, as a coordinator's bootstrap does.
+func openJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalStore, []stateEntry, *SalvageReport, error) {
+	js, entries, salvage, err := loadJournal(fsys, dir, resume, log)
+	if err == nil {
+		err = js.compact(entries)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return js, entries, salvage, nil
 }
 
 // openJournalOS is shorthand used by tests that reopen repeatedly.

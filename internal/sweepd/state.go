@@ -135,11 +135,19 @@ func (c *Coordinator) persistEntriesLocked(entries []stateEntry) error {
 func (c *Coordinator) persistFailureLocked(err error) {
 	c.persistFails++
 	fmt.Fprintf(c.cfg.Log, "sweepd: warning: state checkpoint failed (%d consecutive): %v\n", c.persistFails, err)
-	if c.persistFails >= c.cfg.PersistFailLimit && !c.degraded {
-		c.degraded = true
-		c.degradedReason = fmt.Sprintf("%d consecutive checkpoint failures, last: %v", c.persistFails, err)
-		fmt.Fprintf(c.cfg.Log, "sweepd: DEGRADED: %s — refusing new leases\n", c.degradedReason)
+	if c.persistFails >= c.cfg.PersistFailLimit {
+		c.degradeLocked(fmt.Sprintf("%d consecutive checkpoint failures, last: %v", c.persistFails, err))
 	}
+}
+
+// degradeLocked enters degraded mode (once) for reason.
+func (c *Coordinator) degradeLocked(reason string) {
+	if c.degraded {
+		return
+	}
+	c.degraded = true
+	c.degradedReason = reason
+	fmt.Fprintf(c.cfg.Log, "sweepd: DEGRADED: %s — refusing new leases\n", reason)
 }
 
 // applyEntriesLocked replays recovered entries over the unit table.

@@ -1,8 +1,8 @@
 // Package vfs is the narrow filesystem seam under every durable write
 // the runner and the sweep coordinator make. Production code runs on OS
 // (thin wrappers over package os); tests and chaos runs swap in the
-// deterministic disk-fault injectors from internal/faults — short
-// writes, fsync errors, ENOSPC, bit flips, and crash-kill at any write
+// deterministic disk-fault injector from internal/faults — failed and
+// short writes, fsync and rename errors, and crash-kill at any write
 // boundary — without touching the code under test. The interface is
 // deliberately small: exactly the operations a write-ahead journal and
 // atomic snapshot swaps need, nothing a simulation would never use.
