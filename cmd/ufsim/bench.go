@@ -19,10 +19,10 @@ import (
 // report. The exit status enforces the zero-allocation contract: any
 // tagged case that allocates in steady state fails the command, which is
 // what CI gates on.
-func benchCmd(args []string) {
+func benchCmd(args []string) int {
 	if len(args) > 0 && args[0] == "compare" {
 		benchCompareCmd(args[1:])
-		return
+		return exitOK
 	}
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
@@ -30,14 +30,21 @@ func benchCmd(args []string) {
 		out   = fs.String("out", "", "report path (default BENCH_<date>.json)")
 		merge = fs.String("merge", "", "`go test -bench -benchmem` output file to fold into the report")
 		quiet = fs.Bool("quiet", false, "suppress per-case progress lines")
+		prof  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ufsim bench [-short] [-out FILE] [-merge go-bench.txt] [-quiet]")
+		fmt.Fprintln(os.Stderr, "usage: ufsim bench [-short] [-out FILE] [-merge go-bench.txt] [-quiet] [-cpuprofile FILE]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
+	stopProfile, err := startCPUProfile(*prof)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ufsim bench: %v\n", err)
+		return exitFailures
+	}
+	defer stopProfile()
 
 	date := time.Now().Format("2006-01-02")
 	path := *out
@@ -56,13 +63,13 @@ func benchCmd(args []string) {
 		f, err := os.Open(*merge)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ufsim bench: %v\n", err)
-			os.Exit(1)
+			return exitFailures
 		}
 		parsed, err := bench.ParseGoBench(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ufsim bench: %v\n", err)
-			os.Exit(1)
+			return exitFailures
 		}
 		rep.Results = append(rep.Results, parsed...)
 	}
@@ -75,13 +82,14 @@ func benchCmd(args []string) {
 		return enc.Encode(rep)
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "ufsim bench: writing %s: %v\n", path, err)
-		os.Exit(1)
+		return exitFailures
 	}
 	fmt.Printf("bench: %d results -> %s\n", len(rep.Results), path)
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "ufsim bench: %v\n", runErr)
-		os.Exit(1)
+		return exitFailures
 	}
+	return exitOK
 }
 
 // benchCompareCmd is `ufsim bench compare BASELINE.json CURRENT.json`:

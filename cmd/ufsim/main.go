@@ -52,6 +52,12 @@
 //
 //	ufsim fsck sweep-artifacts
 //
+// Profiling: -cpuprofile FILE on ufsim and ufsim bench writes a CPU
+// profile of the whole run for `go tool pprof` (off by default):
+//
+//	ufsim -experiment fig3 -quick -cpuprofile cpu.pprof
+//	ufsim bench -short -cpuprofile cpu.pprof
+//
 // Exit codes everywhere: 0 success, 1 completed with failures, 2 usage
 // error, 3 aborted by signal (SIGINT and SIGTERM are handled alike:
 // first signal drains, second aborts), 4 degraded — the coordinator
@@ -94,8 +100,7 @@ func main() {
 			reliabilityCmd(os.Args[2:])
 			return
 		case "bench":
-			benchCmd(os.Args[2:])
-			return
+			os.Exit(benchCmd(os.Args[2:]))
 		case "serve":
 			os.Exit(serveCmd(os.Args[2:]))
 		case "worker":
@@ -121,8 +126,16 @@ func run() int {
 		artifacts = flag.String("artifacts", "", "directory for crash artifacts and the sweep manifest")
 		resume    = flag.Bool("resume", false, "skip experiments already completed in the -artifacts manifest")
 		maxSteps  = flag.Int64("max-steps", 0, "per-machine engine step budget (0 = none); runaway simulations fail instead of spinning")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
+
+	stopProfile, err := startCPUProfile(*cpuprof)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ufsim: %v\n", err)
+		return exitFailures
+	}
+	defer stopProfile()
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {

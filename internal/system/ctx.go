@@ -20,6 +20,11 @@ type Ctx struct {
 	quantum sim.Time
 	used    sim.Time
 	acc     Activity
+
+	// record is set while a Stationary workload's quantum is being
+	// recorded for replay; a Ctx call the record cannot reproduce clears
+	// it.
+	record bool
 }
 
 // Machine returns the platform.
@@ -53,7 +58,10 @@ func (c *Ctx) Remaining() sim.Time {
 }
 
 // Rng returns the thread's private random stream.
-func (c *Ctx) Rng() *sim.Rand { return c.t.rng }
+func (c *Ctx) Rng() *sim.Rand {
+	c.record = false
+	return c.t.rng
+}
 
 // CoreFreq returns the core's operating frequency.
 func (c *Ctx) CoreFreq() sim.Freq { return c.t.Core.Freq }
@@ -107,8 +115,10 @@ func (c *Ctx) access(line cache.Line) (float64, cache.AccessResult) {
 }
 
 // charge advances the sub-quantum cursor by n core cycles and accounts
-// them, stalled or not.
+// them, stalled or not. Every load and flush ends here, so it is also
+// where a recorded quantum learns it cannot be replayed.
 func (c *Ctx) charge(cycles float64, stalled float64) {
+	c.record = false
 	c.used += c.CoreFreq().TimeFor(cycles)
 	c.acc.Active = true
 	c.acc.Cycles += cycles
@@ -174,6 +184,14 @@ func (c *Ctx) InjectTraffic(slice int, accesses float64) int {
 	dst := t.Sock.Die.SliceCoord(slice)
 	hops := t.Sock.Mesh.Hops(t.Core.Tile, dst)
 	t.Sock.Mesh.AddTraffic(t.Domain, t.Core.Tile, dst, accesses)
+	if c.record {
+		if sq := &t.steady; sq.n < maxSteadyInjects {
+			sq.dst[sq.n], sq.accesses[sq.n] = dst, accesses
+			sq.n++
+		} else {
+			c.record = false
+		}
+	}
 	c.acc.LLCAccesses += accesses
 	c.acc.Pressure += accesses * c.m.cfg.UFS.DistanceWeight(hops)
 	return hops

@@ -107,6 +107,21 @@ type Workload interface {
 	Step(ctx *Ctx) Activity
 }
 
+// Stationary marks a Workload whose Step is a pure function of the core
+// frequency, the uncore frequency and its quantum budget (Quantum and
+// Remaining): it reads no time, draws no random number and touches no
+// cache state. The machine records one unpreempted quantum's Activity and
+// InjectTraffic calls and replays the record, without calling Step, while
+// both frequencies hold; a preempted quantum is always stepped (see
+// DESIGN.md "Steady quanta"). A marked workload's fields must not change
+// while it runs, since a replay would not see the change: swap in a new
+// workload with SetWorkload instead. A Step that does load, flush or draw
+// from the thread's stream is detected and simply not recorded.
+type Stationary interface {
+	Workload
+	Stationary()
+}
+
 // WorkloadFunc adapts a function to the Workload interface.
 type WorkloadFunc func(ctx *Ctx) Activity
 
@@ -428,8 +443,37 @@ type Thread struct {
 	stopped bool
 
 	// ctx is the thread's reusable quantum context, reset at the top of
-	// every quantum; it is valid only for the duration of Step.
+	// every stepped quantum; it is valid only for the duration of Step.
 	ctx Ctx
+
+	// stationary caches whether w implements Stationary; steady is the
+	// last recorded quantum of such a workload.
+	stationary bool
+	steady     steadyQuantum
+}
+
+// maxSteadyInjects bounds the InjectTraffic calls one recorded quantum
+// may make; the Listing 1 and 2 loops make one.
+const maxSteadyInjects = 2
+
+// steadyQuantum is a Stationary thread's recorded quantum: the inputs it
+// was stepped under, its final Activity, and its InjectTraffic calls as
+// (destination tile, accesses) pairs. It is fixed-size, so recording and
+// replaying allocate nothing.
+type steadyQuantum struct {
+	valid        bool
+	core, uncore sim.Freq
+	act          Activity
+	n            int
+	dst          [maxSteadyInjects]topo.Coord
+	accesses     [maxSteadyInjects]float64
+}
+
+// setWorkload installs w and drops any recorded quantum of the old one.
+func (t *Thread) setWorkload(w Workload) {
+	t.w = w
+	_, t.stationary = w.(Stationary)
+	t.steady.valid = false
 }
 
 // SetWorkload replaces the thread's program (e.g. the nop→stalling switch
@@ -437,7 +481,7 @@ type Thread struct {
 // wake source: it re-arms the machine's quantum ticker if an idle skip
 // had de-armed it.
 func (t *Thread) SetWorkload(w Workload) {
-	t.w = w
+	t.setWorkload(w)
 	if w != nil && !t.stopped {
 		t.m.rearmQuantum()
 	}
@@ -490,7 +534,7 @@ func (m *Machine) Spawn(name string, socket, core int, d cache.Domain, w Workloa
 		m:      m,
 		rng:    m.rng.Split(sim.HashString(name)),
 	}
-	t.w = w
+	t.setWorkload(w)
 	m.threads = append(m.threads, t)
 	if w != nil {
 		m.rearmQuantum()
@@ -553,25 +597,22 @@ func (m *Machine) stepQuantum(now sim.Time) {
 		if t.stopped || t.w == nil {
 			continue
 		}
-		t.ctx = Ctx{
-			m:       m,
-			t:       t,
-			start:   now - m.cfg.Quantum,
-			quantum: m.cfg.Quantum,
-		}
-		ctx := &t.ctx
+		var gap sim.Time
 		if m.faults != nil {
-			if gap := m.faults.PreemptGap(t.Name, now); gap > 0 {
-				if gap > m.cfg.Quantum {
-					gap = m.cfg.Quantum
-				}
-				// The stolen slice is gone before the workload runs:
-				// fine-grained work sees a shortened quantum.
-				ctx.used = gap
-			}
+			gap = min(m.faults.PreemptGap(t.Name, now), m.cfg.Quantum)
 		}
-		act := t.w.Step(ctx)
-		act.Add(ctx.acc)
+		var act Activity
+		if sq := &t.steady; sq.valid && gap <= 0 && sq.core == t.Core.Freq && sq.uncore == t.Sock.Gov.Current() {
+			// Steady quantum: replay the recorded traffic in today's
+			// thread order, so every float sum below sees the same
+			// operands in the same order as a stepped quantum.
+			for i := 0; i < sq.n; i++ {
+				t.Sock.Mesh.AddTraffic(t.Domain, t.Core.Tile, sq.dst[i], sq.accesses[i])
+			}
+			act = sq.act
+		} else {
+			act = t.step(now, gap)
+		}
 		if act.Active {
 			t.Sock.busy[t.Core.ID] = true
 			t.Core.RecordActive(m.cfg.Quantum, cpu.Counters{
@@ -604,6 +645,36 @@ func (m *Machine) stepQuantum(now sim.Time) {
 		m.idleDoneAt = now
 		m.engine.Pause(&m.quantumTick)
 	}
+}
+
+// step runs the thread's workload for one quantum, of which the OS stole
+// gap. A Stationary workload's unpreempted quantum is recorded for replay;
+// any other stepped quantum clears the record.
+func (t *Thread) step(now, gap sim.Time) Activity {
+	m := t.m
+	sq := &t.steady
+	sq.valid, sq.n = false, 0
+	sq.core, sq.uncore = t.Core.Freq, t.Sock.Gov.Current()
+	t.ctx = Ctx{
+		m:       m,
+		t:       t,
+		start:   now - m.cfg.Quantum,
+		quantum: m.cfg.Quantum,
+	}
+	ctx := &t.ctx
+	if gap > 0 {
+		// The stolen slice is gone before the workload runs:
+		// fine-grained work sees a shortened quantum.
+		ctx.used = gap
+	} else {
+		ctx.record = t.stationary
+	}
+	act := t.w.Step(ctx)
+	act.Add(ctx.acc)
+	if ctx.record {
+		sq.valid, sq.act = true, act
+	}
+	return act
 }
 
 // stepEpoch runs every socket's governor with the epoch's accumulated

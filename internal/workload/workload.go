@@ -63,6 +63,10 @@ func (w *Traffic) Step(ctx *system.Ctx) system.Activity {
 	}
 }
 
+// Stationary implements system.Stationary: Step reads only the two
+// frequencies, the quantum and the fixed placement.
+func (*Traffic) Stationary() {}
+
 // Stalling is the Listing 2 loop: a pointer chase through one eviction
 // list on the target slice. Every load depends on the previous one, so the
 // core spends ≈77 % of its cycles stalled — the input to the governor's
@@ -93,6 +97,9 @@ func (w *Stalling) Step(ctx *system.Ctx) system.Activity {
 	}
 }
 
+// Stationary implements system.Stationary.
+func (*Stalling) Stationary() {}
+
 // Nop is a busy compute loop with no memory traffic beyond the L1: an
 // active, unstalled core. It is the "active but not stalled" load of
 // Figure 4 and the idle half of the Figure 5/6 phase switches.
@@ -103,6 +110,9 @@ func (Nop) Step(ctx *system.Ctx) system.Activity {
 	cycles := fullQuantumCycles(ctx)
 	return system.Activity{Active: true, Cycles: cycles, PowerUnits: 1.0}
 }
+
+// Stationary implements system.Stationary.
+func (Nop) Stationary() {}
 
 // L2Chase is a pointer chase whose list fits in the L2: no uncore
 // activity, and a stall ratio (≈0.14) far below the stalled-core threshold
@@ -120,6 +130,9 @@ func (L2Chase) Step(ctx *system.Ctx) system.Activity {
 		PowerUnits:  0.9,
 	}
 }
+
+// Stationary implements system.Stationary.
+func (L2Chase) Stationary() {}
 
 // Measure is the Listing 3 receiver loop: it walks an eviction list with
 // fenced, timed loads and hands each sample to Sink. The fences keep the
