@@ -18,8 +18,14 @@
 // is enumerated once at construction and every (src, dst) route — link-ID
 // path and hop count — is precomputed, so the per-access hot path
 // (Transact, Hops) and the bulk and inspection calls (AddTraffic,
-// ContentionCycles) walk dense slices and allocate nothing. Per-quantum load lives in flat per-domain rows indexed by link
-// ID; BeginQuantum zeroes them in place instead of rebuilding maps.
+// ContentionCycles) walk dense slices and allocate nothing.
+//
+// Per-quantum load lives in flat per-domain rows indexed by link ID and is
+// applied on read: AddTraffic records each call in a fixed-size buffer,
+// and Transact, ContentionCycles and TotalFlitHops apply the pending
+// records in call order before they look. Every sum thus sees the eager
+// operands in the eager order, and a quantum nothing reads never builds its
+// rows; BeginQuantum zeroes them in place only if something was applied.
 package mesh
 
 import (
@@ -64,6 +70,17 @@ type Params struct {
 	// TDMSlotCycles is the fixed extra per-link latency paid under
 	// time-multiplexed scheduling (waiting for the domain's slot).
 	TDMSlotCycles float64
+}
+
+// pendingCap is how many AddTraffic records a quantum buffers before it
+// applies them to the load rows; a full buffer is applied, never dropped.
+const pendingCap = 32
+
+// pendingAdd is one deferred AddTraffic call: the domain's load row, the
+// request and response route pairs, and the flits loaded on each link.
+type pendingAdd struct {
+	slot, fwd, rev int32
+	flits          float64
 }
 
 // DefaultParams returns constants sized so that a handful of saturating
@@ -111,6 +128,12 @@ type Mesh struct {
 	slotOf  []int32
 	negSlot map[cache.Domain]int
 
+	// pending[:npending] holds the AddTraffic calls not yet applied to the
+	// rows, in call order; dirty reports that the rows or totals hold load
+	// since they were last zeroed.
+	npending int
+	dirty    bool
+
 	// quantum capacity in flits, refreshed each BeginQuantum.
 	capacity float64
 
@@ -122,6 +145,9 @@ type Mesh struct {
 	ringCoord []topo.Coord
 
 	totalFlitHops float64
+
+	// pending comes last, clear of the fields Transact reads per access.
+	pending [pendingCap]pendingAdd
 }
 
 // New returns an interconnect for the given die.
@@ -274,9 +300,11 @@ func (m *Mesh) walk(src, dst topo.Coord, visit func(Link)) {
 
 // pairRoute returns the precomputed link-ID path for an in-grid pair.
 func (m *Mesh) pairRoute(src, dst topo.Coord) []int32 {
-	pair := m.tileIdx(src)*m.ntiles + m.tileIdx(dst)
-	return m.routeIDs[m.routeOff[pair]:m.routeOff[pair+1]]
+	return m.route(m.tileIdx(src)*m.ntiles + m.tileIdx(dst))
 }
+
+// route returns the precomputed link-ID path of pair index p.
+func (m *Mesh) route(p int) []int32 { return m.routeIDs[m.routeOff[p]:m.routeOff[p+1]] }
 
 // slot returns domain d's dense row index, registering the domain (and
 // growing its load row) on first sight. Small non-negative domains — every
@@ -312,17 +340,20 @@ func (m *Mesh) addSlot(d cache.Domain) int {
 	return s
 }
 
-// Reset returns the interconnect to cold state in place: TDM off, all
-// per-quantum load rows zeroed, and the aggregate counters cleared. The
-// precomputed link/route tables are immutable and untouched; domain slot
-// registrations persist (their rows are zeroed), which is behaviour-
-// neutral because contention only reads row values, never row identity.
+// Reset returns the interconnect to cold state in place: TDM off, pending
+// traffic dropped, all per-quantum load rows zeroed, and the aggregate
+// counters cleared. The precomputed link/route tables are immutable and
+// untouched; domain slot registrations persist (their rows are zeroed),
+// which is behaviour-neutral because contention only reads row values,
+// never row identity.
 func (m *Mesh) Reset() {
 	m.tdm = false
+	m.npending = 0
 	for _, row := range m.load {
 		clear(row)
 	}
 	clear(m.total)
+	m.dirty = false
 	m.capacity = 0
 	m.totalFlitHops = 0
 }
@@ -335,12 +366,18 @@ func (m *Mesh) TDM() bool { return m.tdm }
 
 // BeginQuantum clears the per-quantum load accounting in place and
 // recomputes link capacity for the quantum length and current uncore
-// frequency. No allocation: the dense rows are zeroed, not rebuilt.
+// frequency. Traffic still pending was never read and is dropped; the
+// dense rows are zeroed, not rebuilt, and only if something was applied
+// to them since the last clear.
 func (m *Mesh) BeginQuantum(quantum sim.Time, fUncore sim.Freq) {
-	for _, row := range m.load {
-		clear(row)
+	m.npending = 0
+	if m.dirty {
+		for _, row := range m.load {
+			clear(row)
+		}
+		clear(m.total)
+		m.dirty = false
 	}
-	clear(m.total)
 	m.capacity = fUncore.CyclesIn(quantum) * m.params.LinkFlitsPerCycle
 	m.totalFlitHops = 0
 }
@@ -384,18 +421,26 @@ func (m *Mesh) Hops(src, dst topo.Coord) int {
 
 // AddTraffic records accesses LLC transactions flowing between src and dst
 // this quantum on behalf of domain d. Both directions are loaded (request
-// and data paths).
+// and data paths). The load is applied to the link rows when a reader
+// (Transact, ContentionCycles, TotalFlitHops) next looks, or when the
+// pending buffer fills; the domain's slot is registered now.
 func (m *Mesh) AddTraffic(d cache.Domain, src, dst topo.Coord, accesses float64) {
 	if accesses <= 0 || src == dst {
 		return
 	}
 	flits := accesses * m.params.FlitsPerAccess
-	row := m.load[m.slot(d)]
+	slot := m.slot(d)
 	if m.inGrid(src) && m.inGrid(dst) {
-		m.addFlits(row, m.pairRoute(src, dst), flits)
-		m.addFlits(row, m.pairRoute(dst, src), flits)
+		if m.npending == pendingCap {
+			m.apply()
+		}
+		s, t := int32(m.tileIdx(src)), int32(m.tileIdx(dst))
+		n := int32(m.ntiles)
+		m.pending[m.npending] = pendingAdd{int32(slot), s*n + t, t*n + s, flits}
+		m.npending++
 		return
 	}
+	m.apply()
 	for _, dir := range [2][2]topo.Coord{{src, dst}, {dst, src}} {
 		m.walk(dir[0], dir[1], func(Link) {
 			// Off-grid coordinates have no enumerated links; only the
@@ -412,6 +457,9 @@ func (m *Mesh) AddTraffic(d cache.Domain, src, dst topo.Coord, accesses float64)
 func (m *Mesh) ContentionCycles(d cache.Domain, src, dst topo.Coord) float64 {
 	if src == dst || !m.inGrid(src) || !m.inGrid(dst) {
 		return 0
+	}
+	if m.npending != 0 {
+		m.apply()
 	}
 	seen := m.total
 	if m.tdm {
@@ -438,6 +486,10 @@ func (m *Mesh) Transact(d cache.Domain, src, dst topo.Coord) float64 {
 		m.AddTraffic(d, src, dst, 1)
 		return 0
 	}
+	if m.npending != 0 {
+		m.apply()
+	}
+	m.dirty = true
 	flits := m.params.FlitsPerAccess
 	row := m.load[m.slot(d)]
 	seen := m.total
@@ -445,24 +497,44 @@ func (m *Mesh) Transact(d cache.Domain, src, dst topo.Coord) float64 {
 		seen = row
 	}
 	var extra float64
+	hops := m.totalFlitHops
 	for _, id := range m.pairRoute(src, dst) {
 		extra = m.linkDelay(extra, seen[id])
 		row[id] += flits
 		m.total[id] += flits
-		m.totalFlitHops += flits
+		hops += flits
 	}
-	m.addFlits(row, m.pairRoute(dst, src), flits)
+	m.totalFlitHops = addFlits(row, m.total, m.pairRoute(dst, src), flits, hops)
 	return extra
 }
 
+// apply loads every pending AddTraffic record onto its routes, in call
+// order, and empties the buffer.
+func (m *Mesh) apply() {
+	if m.npending == 0 {
+		return
+	}
+	m.dirty = true
+	hops := m.totalFlitHops
+	for _, p := range m.pending[:m.npending] {
+		row := m.load[p.slot]
+		hops = addFlits(row, m.total, m.route(int(p.fwd)), p.flits, hops)
+		hops = addFlits(row, m.total, m.route(int(p.rev)), p.flits, hops)
+	}
+	m.totalFlitHops = hops
+	m.npending = 0
+}
+
 // addFlits loads flits onto every link of a route, in the domain's row
-// and in the cross-domain totals.
-func (m *Mesh) addFlits(row []float64, ids []int32, flits float64) {
+// and in the cross-domain totals, and returns hops plus the flit·hops
+// added.
+func addFlits(row, total []float64, ids []int32, flits, hops float64) float64 {
 	for _, id := range ids {
 		row[id] += flits
-		m.total[id] += flits
-		m.totalFlitHops += flits
+		total[id] += flits
+		hops += flits
 	}
+	return hops
 }
 
 // linkDelay adds to extra the delay of crossing one link that carries
@@ -488,5 +560,8 @@ func (m *Mesh) linkDelay(extra, flits float64) float64 {
 }
 
 // TotalFlitHops returns the flit·hop volume injected this quantum, an
-// aggregate utilisation signal.
-func (m *Mesh) TotalFlitHops() float64 { return m.totalFlitHops }
+// aggregate utilisation signal, applying pending traffic first.
+func (m *Mesh) TotalFlitHops() float64 {
+	m.apply()
+	return m.totalFlitHops
+}

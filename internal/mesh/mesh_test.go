@@ -216,6 +216,8 @@ func TestTransactMatchesContentionThenAddTraffic(t *testing.T) {
 						delayed++
 					}
 				}
+				a.apply() // the raw fields below hold only applied traffic
+				b.apply()
 				if !sameBits(a.total, b.total) || math.Float64bits(a.totalFlitHops) != math.Float64bits(b.totalFlitHops) {
 					t.Fatalf("kind %d tdm %v step %d: link totals or flit-hops diverge", kind, tdm, step)
 				}
@@ -237,4 +239,170 @@ func TestTransactMatchesContentionThenAddTraffic(t *testing.T) {
 
 func sameBits(x, y []float64) bool {
 	return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+}
+
+// eagerMesh is the reference for deferred accounting: AddTraffic,
+// BeginQuantum and Reset as they were when every call loaded the rows at
+// once. It never buffers, so the embedded Mesh's readers see only applied
+// load.
+type eagerMesh struct{ *Mesh }
+
+func (e eagerMesh) AddTraffic(d cache.Domain, src, dst topo.Coord, accesses float64) {
+	if accesses <= 0 || src == dst {
+		return
+	}
+	flits := accesses * e.params.FlitsPerAccess
+	row := e.load[e.slot(d)]
+	if e.inGrid(src) && e.inGrid(dst) {
+		for _, ids := range [2][]int32{e.pairRoute(src, dst), e.pairRoute(dst, src)} {
+			for _, id := range ids {
+				row[id] += flits
+				e.total[id] += flits
+				e.totalFlitHops += flits
+			}
+		}
+		return
+	}
+	for _, dir := range [2][2]topo.Coord{{src, dst}, {dst, src}} {
+		e.walk(dir[0], dir[1], func(Link) { e.totalFlitHops += flits })
+	}
+}
+
+func (e eagerMesh) Transact(d cache.Domain, src, dst topo.Coord) float64 {
+	if src != dst && (!e.inGrid(src) || !e.inGrid(dst)) {
+		e.AddTraffic(d, src, dst, 1)
+		return 0
+	}
+	return e.Mesh.Transact(d, src, dst)
+}
+
+func (e eagerMesh) BeginQuantum(quantum sim.Time, fUncore sim.Freq) {
+	for _, row := range e.load {
+		clear(row)
+	}
+	clear(e.total)
+	e.capacity = fUncore.CyclesIn(quantum) * e.params.LinkFlitsPerCycle
+	e.totalFlitHops = 0
+}
+
+func (e eagerMesh) Reset() {
+	e.tdm = false
+	for _, row := range e.load {
+		clear(row)
+	}
+	clear(e.total)
+	e.capacity = 0
+	e.totalFlitHops = 0
+}
+
+// appliedView returns m's rows, totals and flit-hop volume with its
+// pending traffic applied, leaving m itself untouched.
+func appliedView(m *Mesh) *Mesh {
+	c := *m
+	c.load = make([][]float64, len(m.load))
+	for s, row := range m.load {
+		c.load[s] = slices.Clone(row)
+	}
+	c.total = slices.Clone(m.total)
+	c.apply()
+	return &c
+}
+
+// TestDeferredTrafficMatchesEager runs a seeded operation stream on a mesh
+// and on eagerMesh, on the mesh and the ring, with TDM starting off and
+// on. Quanta alternate between probe-only, bulk-only (more AddTraffic
+// calls than the pending buffer holds, no reader) and mixed op streams;
+// AddTraffic covers off-grid, src == dst and non-positive calls across
+// domains 0, 1, 3 and -2. After every op the return values, the applied
+// load rows, link totals, flit-hop volume and domain slots must agree in
+// full bits.
+func TestDeferredTrafficMatchesEager(t *testing.T) {
+	coords := []topo.Coord{{Col: 5, Row: 2}, {Col: -1, Row: 0}} // off-grid
+	for r := 0; r < 6; r++ {
+		for c := 0; c < 5; c++ {
+			coords = append(coords, topo.Coord{Col: c, Row: r})
+		}
+	}
+	domains := []cache.Domain{0, 1, 3, -2}
+	for _, kind := range []Kind{KindMesh, KindRing} {
+		for _, tdm := range []bool{false, true} {
+			got, want := newMesh(kind), eagerMesh{newMesh(kind)}
+			got.SetTDM(tdm)
+			want.SetTDM(tdm)
+			rng := rand.New(rand.NewPCG(uint64(kind), 0xdefe))
+			mix, maxPending := 2, 0
+			for step := 0; step < 30000; step++ {
+				d := domains[rng.IntN(len(domains))]
+				src, dst := coords[rng.IntN(len(coords))], coords[rng.IntN(len(coords))]
+				if rng.IntN(8) == 0 {
+					dst = src
+				}
+				var g, w float64
+				op := rng.IntN(100)
+				switch {
+				case op == 0 && rng.IntN(20) == 0:
+					got.Reset()
+					want.Reset()
+				case op == 0 && rng.IntN(10) == 0:
+					got.SetTDM(!got.TDM())
+					want.SetTDM(!want.TDM())
+				case op < 2:
+					q := sim.Time(100+rng.IntN(200)) * sim.Microsecond
+					f := sim.Freq(12 + rng.IntN(13))
+					got.BeginQuantum(q, f)
+					want.BeginQuantum(q, f)
+					mix = rng.IntN(3) // 0 probe-only, 1 bulk-only, 2 mixed
+				case mix == 1 || (mix == 2 && op < 50):
+					acc := rng.Float64() * 40_000
+					if rng.IntN(16) == 0 {
+						acc = -acc * float64(rng.IntN(2))
+					}
+					got.AddTraffic(d, src, dst, acc)
+					want.AddTraffic(d, src, dst, acc)
+				case mix == 0 || op < 80:
+					g, w = got.Transact(d, src, dst), want.Transact(d, src, dst)
+				case op < 92:
+					g, w = got.ContentionCycles(d, src, dst), want.ContentionCycles(d, src, dst)
+				default:
+					g, w = got.TotalFlitHops(), want.TotalFlitHops()
+				}
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("kind %d tdm %v step %d op %d: got %v, eager %v", kind, tdm, step, op, g, w)
+				}
+				maxPending = max(maxPending, got.npending)
+				v := appliedView(got)
+				if !sameBits(v.total, want.total) || math.Float64bits(v.totalFlitHops) != math.Float64bits(want.totalFlitHops) {
+					t.Fatalf("kind %d tdm %v step %d op %d: link totals or flit-hops diverge", kind, tdm, step, op)
+				}
+				if len(v.load) != len(want.load) || !slices.Equal(v.slotOf, want.slotOf) || !maps.Equal(v.negSlot, want.negSlot) {
+					t.Fatalf("kind %d tdm %v step %d op %d: domain slots diverge", kind, tdm, step, op)
+				}
+				for s := range v.load {
+					if !sameBits(v.load[s], want.load[s]) {
+						t.Fatalf("kind %d tdm %v step %d op %d: load row %d diverges", kind, tdm, step, op, s)
+					}
+				}
+			}
+			if maxPending != pendingCap {
+				t.Fatalf("kind %d tdm %v: pending buffer peaked at %d of %d", kind, tdm, maxPending, pendingCap)
+			}
+		}
+	}
+}
+
+// TestDeferredTrafficAllocs pins the unread quantum to zero allocations:
+// 1,000 AddTraffic calls, more than the pending buffer holds, then the
+// next BeginQuantum.
+func TestDeferredTrafficAllocs(t *testing.T) {
+	m := newMesh(KindMesh)
+	die := topo.XeonGold6142Socket0
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 1000; i++ {
+			m.AddTraffic(cache.Domain(i%3), die.CoreCoord(i%die.NumCores()), die.SliceCoord(i%die.NumSlices()), 1)
+		}
+		m.BeginQuantum(200*sim.Microsecond, 24)
+	})
+	if allocs != 0 {
+		t.Fatalf("an unread quantum allocates %v times", allocs)
+	}
 }
