@@ -20,8 +20,9 @@ func benchLines(geom cache.Geometry, set, n int) []cache.Line {
 	return out
 }
 
-// BenchmarkSetAssocLookupHit times a hit in a warm set: the single-pass
-// scan over the contiguous way array plus the LRU stamp update.
+// BenchmarkSetAssocLookupHit times a hit in a warm set: the scan over the
+// set's tags plus the move to the front of its recency order. The lines
+// rotate, so every hit is on the least recently used way.
 func BenchmarkSetAssocLookupHit(b *testing.B) {
 	c := cache.NewSetAssoc(1024, 16)
 	lines := benchLines(cache.DefaultGeometry(1), 3, 16)
@@ -38,7 +39,7 @@ func BenchmarkSetAssocLookupHit(b *testing.B) {
 }
 
 // BenchmarkSetAssocInsertEvict times the miss path: inserting into a full
-// set, which forces an LRU victim scan and an eviction every call.
+// set, which forces an LRU victim pick and an eviction every call.
 func BenchmarkSetAssocInsertEvict(b *testing.B) {
 	c := cache.NewSetAssoc(1024, 16)
 	lines := benchLines(cache.DefaultGeometry(1), 3, 64)

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -103,6 +105,7 @@ func TestSetAssocGeometryValidation(t *testing.T) {
 		func() { NewSetAssoc(3, 4) },  // non-power-of-two sets
 		func() { NewSetAssoc(4, 0) },  // zero ways
 		func() { NewSetAssoc(-4, 4) }, // negative
+		func() { NewSetAssoc(4, 17) }, // more ways than an order word holds
 	} {
 		func() {
 			defer func() {
@@ -389,60 +392,93 @@ func TestSetAssocMatchesReferenceLRU(t *testing.T) {
 // TestSetAssocResetReplaysFresh pins the dirty-set Reset: a seeded
 // stream of partitioned inserts, lookups, removes, flushes and resets runs
 // on one long-lived array and, segment by segment, on a freshly built one
-// that replaces it at every Reset. After each Reset the array must be
-// all-zero with its stamp rewound and no set still marked, and between
-// resets it must match the fresh array's hits, evictions and way contents
-// op for op.
+// that replaces it at every Reset. After each Reset the array must hold
+// zero tags and valid masks, every order word must be the identity, and
+// no set may still be marked; between resets it must match the fresh
+// array's hits, evictions, tags, order words and valid masks op for op.
+// It runs at every geometry of testGeoms.
 func TestSetAssocResetReplaysFresh(t *testing.T) {
-	const sets, ways = 64, 8
-	rng := rand.New(rand.NewPCG(0x5e7a55, 0xd1e7))
-	c := NewSetAssoc(sets, ways)
-	fresh := NewSetAssoc(sets, ways)
-	resets := 0
-	for step := 0; step < 40000; step++ {
-		set, l := rng.IntN(sets), Line(rng.IntN(24))
-		switch op := rng.IntN(1000); {
-		case op < 500:
-			lo := rng.IntN(ways)
-			n := 1 + rng.IntN(ways-lo)
-			ev, was := c.InsertWays(set, l, lo, n)
-			wantEv, wantWas := fresh.InsertWays(set, l, lo, n)
-			if ev != wantEv || was != wantWas {
-				t.Fatalf("step %d: InsertWays(%d, %d, %d, %d) evicted (%d,%v), fresh (%d,%v)",
-					step, set, l, lo, n, ev, was, wantEv, wantWas)
-			}
-		case op < 800:
-			if got, want := c.Lookup(set, l), fresh.Lookup(set, l); got != want {
-				t.Fatalf("step %d: Lookup(%d, %d) = %v, fresh %v", step, set, l, got, want)
-			}
-		case op < 990:
-			if got, want := c.Remove(set, l), fresh.Remove(set, l); got != want {
-				t.Fatalf("step %d: Remove(%d, %d) = %v, fresh %v", step, set, l, got, want)
-			}
-		case op < 995:
-			c.Flush()
-			fresh.Flush()
-		default:
-			c.Reset()
-			fresh = NewSetAssoc(sets, ways)
-			resets++
-			for i, w := range c.arr {
-				if w != (way{}) {
-					t.Fatalf("step %d: way %d of set %d not zero after Reset: %+v", step, i%ways, i/ways, w)
+	for _, g := range testGeoms {
+		t.Run(fmt.Sprintf("ways=%d", g.ways), func(t *testing.T) {
+			sets, ways := g.sets, g.ways
+			rng := rand.New(rand.NewPCG(0x5e7a55, 0xd1e7))
+			c := NewSetAssoc(sets, ways)
+			fresh := NewSetAssoc(sets, ways)
+			resets := 0
+			for step := 0; step < 40000; step++ {
+				set, l := rng.IntN(sets), Line(rng.IntN(24))
+				switch op := rng.IntN(1000); {
+				case op < 500:
+					lo := rng.IntN(ways)
+					n := 1 + rng.IntN(ways-lo)
+					ev, was := c.InsertWays(set, l, lo, n)
+					wantEv, wantWas := fresh.InsertWays(set, l, lo, n)
+					if ev != wantEv || was != wantWas {
+						t.Fatalf("step %d: InsertWays(%d, %d, %d, %d) evicted (%d,%v), fresh (%d,%v)",
+							step, set, l, lo, n, ev, was, wantEv, wantWas)
+					}
+				case op < 800:
+					if got, want := c.Lookup(set, l), fresh.Lookup(set, l); got != want {
+						t.Fatalf("step %d: Lookup(%d, %d) = %v, fresh %v", step, set, l, got, want)
+					}
+				case op < 990:
+					if got, want := c.Remove(set, l), fresh.Remove(set, l); got != want {
+						t.Fatalf("step %d: Remove(%d, %d) = %v, fresh %v", step, set, l, got, want)
+					}
+				case op < 995:
+					c.Flush()
+					fresh.Flush()
+				default:
+					c.Reset()
+					fresh = NewSetAssoc(sets, ways)
+					resets++
+					for i, tag := range c.tags {
+						if tag != 0 {
+							t.Fatalf("step %d: way %d of set %d holds tag %d after Reset", step, i%ways, i/ways, tag)
+						}
+					}
+					for s := range sets {
+						if c.valid[s] != 0 || c.order[s] != identity(ways) {
+							t.Fatalf("step %d: set %d has valid %#x order %#x after Reset, want 0 and %#x",
+								step, s, c.valid[s], c.order[s], identity(ways))
+						}
+					}
+					if len(c.dirtyList) != 0 || slices.Contains(c.dirty, true) {
+						t.Fatalf("step %d: %d sets still listed dirty after Reset", step, len(c.dirtyList))
+					}
+				}
+				if !slices.Equal(c.tags, fresh.tags) || !slices.Equal(c.order, fresh.order) ||
+					!slices.Equal(c.valid, fresh.valid) {
+					t.Fatalf("step %d: array diverges from a fresh one replaying the same ops", step)
 				}
 			}
-			if c.stamp != 0 {
-				t.Fatalf("step %d: stamp %d after Reset, want 0", step, c.stamp)
+			if resets < 100 {
+				t.Fatalf("stream exercised only %d resets", resets)
 			}
-			if len(c.dirtyList) != 0 || slices.Contains(c.dirty, true) {
-				t.Fatalf("step %d: %d sets still listed dirty after Reset", step, len(c.dirtyList))
-			}
-		}
-		if c.stamp != fresh.stamp || !slices.Equal(c.arr, fresh.arr) {
-			t.Fatalf("step %d: array diverges from a fresh one replaying the same ops", step)
-		}
+		})
 	}
-	if resets < 100 {
-		t.Fatalf("stream exercised only %d resets", resets)
+}
+
+// TestHierarchyFootprint bounds the memory of one socket's cache arrays:
+// what NewHierarchy(DefaultGeometry(16)) and 16 NewCore calls allocate,
+// spread over every L1, L2 and LLC way, must stay at most 10 bytes a way
+// (an 8-byte tag, plus each set's order word, valid mask and dirty marks).
+func TestHierarchyFootprint(t *testing.T) {
+	const cores = 16
+	geom := DefaultGeometry(16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h := NewHierarchy(geom)
+	for range cores {
+		h.NewCore()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(h)
+	ways := geom.Slices*geom.LLCSets*geom.LLCWays + cores*(geom.L1Sets*geom.L1Ways+geom.L2Sets*geom.L2Ways)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if perWay := float64(bytes) / float64(ways); perWay > 10 {
+		t.Fatalf("%d bytes for %d ways: %.2f B/way, want at most 10", bytes, ways, perWay)
+	} else {
+		t.Logf("%d bytes for %d ways: %.2f B/way", bytes, ways, perWay)
 	}
 }

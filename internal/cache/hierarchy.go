@@ -109,6 +109,8 @@ type Hierarchy struct {
 	defaultHash XORFoldHash
 	domainHash  map[Domain]SliceHash
 
+	// index is the installed set-index function; nil means hardware low
+	// bits, computed inline like defaultHash.
 	index    IndexFn
 	ways     map[Domain]WayRange
 	watchers []EvictionWatcher
@@ -132,7 +134,6 @@ func NewHierarchy(geom Geometry) *Hierarchy {
 		geom:        geom,
 		defaultHash: NewXORFoldHash(geom.Slices),
 		domainHash:  make(map[Domain]SliceHash),
-		index:       LowBitsIndex,
 		ways:        make(map[Domain]WayRange),
 	}
 	h.slices = make([]*SetAssoc, geom.Slices)
@@ -184,6 +185,9 @@ func (h *Hierarchy) SliceOf(d Domain, line Line) int {
 
 // LLCSetOf returns the set index of line within its slice for domain d.
 func (h *Hierarchy) LLCSetOf(d Domain, line Line) int {
+	if h.index == nil {
+		return int(line) & (h.geom.LLCSets - 1)
+	}
 	return h.index(d, line, h.geom.LLCSets)
 }
 
@@ -222,7 +226,7 @@ func (h *Hierarchy) Stats() (inserts, evictions uint64) {
 }
 
 // Reset returns the hierarchy and every attached core cache to cold
-// state in place: all arrays invalidated with LRU stamps rewound, every
+// state in place: all arrays invalidated with their LRU order rewound, every
 // defence (domain hashes, index function, way ranges) removed, watchers
 // dropped, and the insert/eviction statistics zeroed. The set of attached
 // cores is preserved — a reset hierarchy is the one NewHierarchy+NewCore
@@ -236,7 +240,7 @@ func (h *Hierarchy) Reset() {
 		cc.l2.Reset()
 	}
 	clear(h.domainHash)
-	h.index = LowBitsIndex
+	h.index = nil
 	clear(h.ways)
 	h.watchers = h.watchers[:0]
 	h.flushSeen = h.flushSeen[:0]
@@ -310,9 +314,9 @@ func (cc *CoreCaches) L2SetOf(line Line) int {
 // L2→LLC on eviction; memory fills bypass LLC allocation.
 //
 // The line is hashed to its home slice once, up front, and an LLC hit is a
-// single scan that removes the line as it finds it. The hit needs no LRU
-// stamp: its way is invalidated at once, and an unstamped hit shifts later
-// ages without reordering them.
+// single scan that removes the line as it finds it. The hit needs no move
+// to the front first: its way is invalidated at once, and the other ways
+// keep the order a lookup-then-remove would leave.
 func (cc *CoreCaches) Access(d Domain, line Line) AccessResult {
 	slice := cc.h.SliceOf(d, line)
 	if cc.l1.Lookup(cc.L1SetOf(line), line) {

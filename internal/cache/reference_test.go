@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"cmp"
+	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -9,8 +12,8 @@ import (
 // refSetAssoc is the reference SetAssoc: the original layout with an
 // explicit valid flag per way, "first invalid, else oldest" victim
 // selection, and an LRU stamp on every hit. SetAssoc's packed layout
-// (age 0 marks an invalid way, victim = first way of smallest age) must
-// make exactly the same decisions.
+// (line+1 tags, a nibble recency order and a valid mask per set) must
+// make exactly the same decisions and keep the same recency order.
 type refSetAssoc struct {
 	ways  int
 	arr   []refWay
@@ -85,70 +88,251 @@ func (r *refSetAssoc) occupancy(set int) int {
 	return n
 }
 
+// recency returns ref's valid ways of set by descending age: most
+// recently used first.
+func (r *refSetAssoc) recency(set int) []int {
+	var ws []int
+	for i, w := range r.span(set) {
+		if w.valid {
+			ws = append(ws, i)
+		}
+	}
+	slices.SortFunc(ws, func(a, b int) int { return cmp.Compare(r.span(set)[b].age, r.span(set)[a].age) })
+	return ws
+}
+
+// recency returns the valid prefix of set's order word: its valid ways,
+// most recently used first.
+func (c *SetAssoc) recency(set int) []int {
+	ws := make([]int, bits.OnesCount16(c.valid[set]))
+	for i := range ws {
+		ws[i] = int(c.order[set] >> (4 * i) & 0xf)
+	}
+	return ws
+}
+
+// matchRef reports the first way in which set of c differs from the
+// reference: its occupancy, a way's validity or line, an order word that
+// is not a permutation of the ways (zero above them), or a recency order
+// other than the reference's valid ways by descending age.
+func matchRef(c *SetAssoc, ref *refSetAssoc, set int) error {
+	if got, want := c.Occupancy(set), ref.occupancy(set); got != want {
+		return fmt.Errorf("Occupancy(%d) = %d, reference %d", set, got, want)
+	}
+	for w, rw := range ref.span(set) {
+		tag, bit := c.tags[set*c.ways+w], c.valid[set]>>w&1 != 0
+		if (tag != 0) != rw.valid || bit != rw.valid || (rw.valid && Line(tag-1) != rw.line) {
+			return fmt.Errorf("set %d way %d holds tag %d valid %v, reference %+v", set, w, tag, bit, rw)
+		}
+	}
+	o, seen := c.order[set], 0
+	for i := range c.ways {
+		seen |= 1 << (o >> (4 * i) & 0xf)
+	}
+	if seen != 1<<c.ways-1 || o>>(4*c.ways-4)>>4 != 0 {
+		return fmt.Errorf("set %d order word %#x is not a permutation of %d ways", set, o, c.ways)
+	}
+	if got, want := c.recency(set), ref.recency(set); !slices.Equal(got, want) {
+		return fmt.Errorf("set %d recency %v, reference %v", set, got, want)
+	}
+	return nil
+}
+
+// setOp is one operation of a differential stream against refSetAssoc.
+type setOp struct {
+	kind  byte // one of the op* constants
+	set   int
+	line  Line
+	lo, n int // InsertWays' way range
+}
+
+const (
+	opInsert = iota
+	opLookup
+	opContains
+	opRemove
+	opFlush
+	opReset
+	opOccupancy // no call of its own: apply reads Occupancy after every op
+)
+
+// refPair runs one SetAssoc and the valid-flag reference side by side.
+type refPair struct {
+	c   *SetAssoc
+	ref *refSetAssoc
+}
+
+func newRefPair(sets, ways int) *refPair {
+	return &refPair{NewSetAssoc(sets, ways), newRefSetAssoc(sets, ways)}
+}
+
+// apply runs op on both arrays. It reports whether an insert evicted,
+// and the first disagreement: a different answer, then a different state
+// of op's set (of every set after a flush or reset, where a reset array
+// must also equal a freshly built one word for word).
+func (p *refPair) apply(op setOp) (evicted bool, err error) {
+	c, ref, set, l := p.c, p.ref, op.set, op.line
+	switch op.kind {
+	case opInsert:
+		ev, was := c.InsertWays(set, l, op.lo, op.n)
+		wantEv, wantWas := ref.insertWays(set, l, op.lo, op.n)
+		if was != wantWas || (was && ev != wantEv) {
+			return false, fmt.Errorf("InsertWays(%d, %d, %d, %d) evicted (%d,%v), reference (%d,%v)",
+				set, l, op.lo, op.n, ev, was, wantEv, wantWas)
+		}
+		evicted = was
+	case opLookup:
+		if got, want := c.Lookup(set, l), ref.lookup(set, l); got != want {
+			return false, fmt.Errorf("Lookup(%d, %d) = %v, reference %v", set, l, got, want)
+		}
+	case opContains:
+		if got, want := c.Contains(set, l), ref.find(set, l) >= 0; got != want {
+			return false, fmt.Errorf("Contains(%d, %d) = %v, reference %v", set, l, got, want)
+		}
+	case opRemove:
+		if got, want := c.Remove(set, l), ref.remove(set, l); got != want {
+			return false, fmt.Errorf("Remove(%d, %d) = %v, reference %v", set, l, got, want)
+		}
+	case opFlush:
+		c.Flush()
+		for i := range ref.arr {
+			ref.arr[i].valid = false
+		}
+	case opReset:
+		c.Reset()
+		p.ref = newRefSetAssoc(c.sets, c.ways)
+		if err := sameArrays(c, NewSetAssoc(c.sets, c.ways)); err != nil {
+			return false, fmt.Errorf("after Reset: %v", err)
+		}
+	}
+	if op.kind == opFlush || op.kind == opReset {
+		for s := range c.sets {
+			if err := matchRef(c, p.ref, s); err != nil {
+				return evicted, err
+			}
+		}
+		return evicted, nil
+	}
+	return evicted, matchRef(c, ref, set)
+}
+
+// sameArrays reports whether a and b differ in any tag, order word, valid
+// mask or dirty mark.
+func sameArrays(a, b *SetAssoc) error {
+	switch {
+	case !slices.Equal(a.tags, b.tags):
+		return fmt.Errorf("tags differ")
+	case !slices.Equal(a.order, b.order):
+		return fmt.Errorf("order words differ")
+	case !slices.Equal(a.valid, b.valid):
+		return fmt.Errorf("valid masks differ")
+	case !slices.Equal(a.dirty, b.dirty) || !slices.Equal(a.dirtyList, b.dirtyList):
+		return fmt.Errorf("dirty sets differ: %v vs %v", a.dirtyList, b.dirtyList)
+	}
+	return nil
+}
+
+// testGeoms are the geometries the set-level tests run at: direct
+// mapped, the L1's 8 ways, the LLC's 11, and the L2's 16, where a set's
+// order word is full and a move of its last nibble shifts by 64. The wide
+// ones get fewer sets, so that their sets still fill and evict between
+// the seeded streams' flushes.
+var testGeoms = []struct{ sets, ways int }{{64, 1}, {64, 8}, {16, 11}, {16, 16}}
+
 // TestSetAssocMatchesValidFlagReference drives SetAssoc and the
 // valid-flag reference with one seeded stream of partitioned inserts,
 // lookups, probes, removes, flushes, occupancy reads and resets. Every
 // op must give the same answer, and after every op the touched set must
-// hold the same lines in the same ways.
+// hold the same lines in the same ways, in the same recency order.
 func TestSetAssocMatchesValidFlagReference(t *testing.T) {
-	const sets, ways = 64, 8
-	rng := rand.New(rand.NewPCG(0x16b, 0x3a7))
-	c := NewSetAssoc(sets, ways)
-	ref := newRefSetAssoc(sets, ways)
-	var inserts, evictions, flushes, resets int
-	for step := 0; step < 60000; step++ {
-		set, l := rng.IntN(sets), Line(rng.IntN(24))
-		switch op := rng.IntN(1000); {
-		case op < 500:
-			lo := rng.IntN(ways)
-			n := 1 + rng.IntN(ways-lo)
-			ev, was := c.InsertWays(set, l, lo, n)
-			wantEv, wantWas := ref.insertWays(set, l, lo, n)
-			if was != wantWas || (was && ev != wantEv) {
-				t.Fatalf("step %d: InsertWays(%d, %d, %d, %d) evicted (%d,%v), reference (%d,%v)",
-					step, set, l, lo, n, ev, was, wantEv, wantWas)
+	for _, g := range testGeoms {
+		t.Run(fmt.Sprintf("ways=%d", g.ways), func(t *testing.T) {
+			sets, ways := g.sets, g.ways
+			rng := rand.New(rand.NewPCG(0x16b, 0x3a7))
+			p := newRefPair(sets, ways)
+			var inserts, evictions, flushes, resets int
+			for step := 0; step < 60000; step++ {
+				op := setOp{set: rng.IntN(sets), line: Line(rng.IntN(24))}
+				switch r := rng.IntN(1000); {
+				case r < 500:
+					op.kind = opInsert
+					op.lo = rng.IntN(ways)
+					op.n = 1 + rng.IntN(ways-op.lo)
+					inserts++
+				case r < 700:
+					op.kind = opLookup
+				case r < 800:
+					op.kind = opContains
+				case r < 960:
+					op.kind = opRemove
+				case r < 963:
+					op.kind = opFlush
+					flushes++
+				case r >= 998:
+					op.kind = opReset
+					resets++
+				default:
+					op.kind = opOccupancy
+				}
+				was, err := p.apply(op)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if was {
+					evictions++
+				}
 			}
-			inserts++
-			if was {
-				evictions++
+			if evictions < 1000 || flushes < 100 || resets < 100 {
+				t.Fatalf("stream too tame: %d inserts, %d evictions, %d flushes, %d resets",
+					inserts, evictions, flushes, resets)
 			}
-		case op < 700:
-			if got, want := c.Lookup(set, l), ref.lookup(set, l); got != want {
-				t.Fatalf("step %d: Lookup(%d, %d) = %v, reference %v", step, set, l, got, want)
-			}
-		case op < 800:
-			if got, want := c.Contains(set, l), ref.find(set, l) >= 0; got != want {
-				t.Fatalf("step %d: Contains(%d, %d) = %v, reference %v", step, set, l, got, want)
-			}
-		case op < 960:
-			if got, want := c.Remove(set, l), ref.remove(set, l); got != want {
-				t.Fatalf("step %d: Remove(%d, %d) = %v, reference %v", step, set, l, got, want)
-			}
-		case op < 963:
-			c.Flush()
-			for i := range ref.arr {
-				ref.arr[i].valid = false
-			}
-			flushes++
-		case op >= 998:
-			c.Reset()
-			ref = newRefSetAssoc(sets, ways)
-			resets++
-		}
-		if got, want := c.Occupancy(set), ref.occupancy(set); got != want {
-			t.Fatalf("step %d: Occupancy(%d) = %d, reference %d", step, set, got, want)
-		}
-		for i, w := range c.span(set) {
-			rw := ref.span(set)[i]
-			if (w.age != 0) != rw.valid || (rw.valid && w.line != rw.line) {
-				t.Fatalf("step %d: set %d way %d holds %+v, reference %+v", step, set, i, w, rw)
-			}
-		}
+		})
 	}
-	if evictions < 1000 || flushes < 100 || resets < 100 {
-		t.Fatalf("stream too tame: %d inserts, %d evictions, %d flushes, %d resets",
-			inserts, evictions, flushes, resets)
+}
+
+// fuzzKinds maps an op byte's low nibble to its kind, weighted towards
+// inserts so that sets fill and evict.
+var fuzzKinds = [16]byte{
+	opInsert, opInsert, opInsert, opInsert, opInsert, opInsert,
+	opLookup, opLookup, opLookup, opContains, opRemove, opRemove, opRemove,
+	opFlush, opReset, opOccupancy,
+}
+
+// FuzzSetAssoc decodes bytes into a stream of SetAssoc operations at 1 to
+// 16 ways and checks each against the valid-flag reference (see
+// refPair.apply). The first byte picks the associativity; every op after
+// it is three bytes: kind (low nibble, by fuzzKinds) and set, line, and
+// way range (high nibble first way, low nibble width).
+func FuzzSetAssoc(f *testing.F) {
+	f.Add([]byte{15, 0, 1, 0x0f, 0x10, 2, 0x0f, 6, 1, 0, 10, 2, 0, 13, 3, 0, 14, 0, 0})
+	f.Add([]byte{10, 0, 1, 0x3a, 0, 2, 0x0a, 0, 3, 0x25, 7, 1, 0, 11, 2, 0, 15, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 6, 1, 0, 10, 2, 0, 14, 0, 0})
+	for _, g := range testGeoms {
+		seq := []byte{byte(g.ways - 1)}
+		for i := range 300 {
+			seq = append(seq, byte(i*7%13)|byte(i%3)<<4, byte(i*5%23), byte(i*11))
+		}
+		f.Add(seq)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		const sets = 2
+		ways := 1 + int(data[0])%16
+		p := newRefPair(sets, ways)
+		for i := 1; i+3 <= len(data); i += 3 {
+			b := data[i : i+3]
+			op := setOp{kind: fuzzKinds[b[0]&0xf], set: int(b[0]>>4) % sets, line: Line(b[1] % 40)}
+			if op.kind == opInsert {
+				op.lo = int(b[2]>>4) % ways
+				op.n = 1 + int(b[2]&0xf)%(ways-op.lo)
+			}
+			if _, err := p.apply(op); err != nil {
+				t.Fatalf("op %d %+v: %v", i/3, op, err)
+			}
+		}
+	})
 }
 
 // accessLookupThenRemove is CoreCaches.Access with the original LLC-hit
@@ -246,11 +430,14 @@ func TestAccessMatchesLookupThenRemove(t *testing.T) {
 				t.Fatalf("eviction watchers diverge: %d vs %d reports", len(*evsA), len(*evsB))
 			}
 			for s := range hA.slices {
-				for i, w := range hA.slices[s].arr {
-					rw := hB.slices[s].arr[i]
-					if (w.age != 0) != (rw.age != 0) || (w.age != 0 && w.line != rw.line) {
-						t.Fatalf("slice %d way %d holds %+v, reference %+v", s, i, w, rw)
+				a, b := hA.slices[s], hB.slices[s]
+				for i, tag := range a.tags {
+					if tag != b.tags[i] {
+						t.Fatalf("slice %d way %d holds tag %d, reference %d", s, i, tag, b.tags[i])
 					}
+				}
+				if !slices.Equal(a.valid, b.valid) || !slices.Equal(a.order, b.order) {
+					t.Fatalf("slice %d valid masks or recency order differ from the reference", s)
 				}
 			}
 			if llcHits < 1000 || len(*evsA) < 1000 {

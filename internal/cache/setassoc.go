@@ -7,12 +7,16 @@
 // variants (randomized indexing, way/slice partitioning) evaluated in
 // Table 3.
 //
-// The package is purely functional: it decides hit levels and evictions.
-// Latency is assigned by internal/timing from the hit level, the mesh hop
-// count, and the current uncore frequency.
+// The package is purely functional: it decides hit levels and evictions,
+// with exact true LRU over 8-byte tags and one packed recency word per
+// set (see SetAssoc). Latency is assigned by internal/timing from the hit
+// level, the mesh hop count, and the current uncore frequency.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
@@ -21,35 +25,33 @@ const LineSize = 64
 // right by 6).
 type Line uint64
 
-// way is one cache way: the resident line and its LRU stamp, 16 bytes,
-// kept together so a set lookup walks one contiguous array. An age of
-// zero marks the way invalid: the array's stamp is incremented before
-// every store, so a valid way's age is at least 1. An invalid way may
-// still hold a stale line; every scan tests the age, not the line.
-type way struct {
-	line Line
-	age  uint64
-}
-
 // SetAssoc is one set-associative cache array with true-LRU replacement.
 // Insertion can be restricted to a way range, which is how way-partitioning
-// defences are expressed. Each set's ways are contiguous in memory; every
-// operation is a single pass over that span and allocates nothing.
+// defences are expressed. Every operation allocates nothing.
 //
-// Valid ages are unique and invalid ways have age 0, so the replacement
-// victim — the first invalid way, else the least recently used — is simply
-// the first way of smallest age.
+// Three dense arrays hold the state. tags has one word per way, line+1,
+// so a zero tag is an invalid way and zeroed memory is an empty set; a
+// lookup is an equality scan over a set's tags. order has one word per
+// set: the way indices as 4-bit nibbles, most recently used first, valid
+// ways before invalid ones. valid has one bit per way. A hit or an insert
+// moves its way to the front; Remove and Flush only invalidate, and
+// Remove moves the way to the back. The victim — the first invalid way,
+// else the least recently used — is a trailing-zero count of the invalid
+// mask, else the last valid nibble in the way range.
 //
-// Only InsertWays ever makes a way valid (Lookup re-stamps ways that are
-// already valid; Remove and Flush only zero the age), so a set never
-// inserted into since the last Reset is still all-zero. The array
-// records each set the first time InsertWays writes it, and Reset clears
-// just those: its cost scales with the sets touched, not the array size.
+// A set index out of range panics with the runtime's bounds check.
+//
+// Only InsertWays ever makes a way valid, so a set never inserted into
+// since the last Reset still holds zero tags and the identity order. The
+// array records each set the first time InsertWays writes it, and Reset
+// restores just those: its cost scales with the sets touched, not the
+// array size.
 type SetAssoc struct {
 	sets  int
 	ways  int
-	arr   []way
-	stamp uint64
+	tags  []uint64
+	order []uint64
+	valid []uint16
 	// dirty marks the sets written since the last Reset; dirtyList holds
 	// their indices in first-write order. Both are sized in NewSetAssoc,
 	// so marking never allocates.
@@ -57,22 +59,43 @@ type SetAssoc struct {
 	dirtyList []int32
 }
 
+// nibbles has a 1 in every nibble: the lane constant of the SWAR search
+// over order words.
+const nibbles = 0x1111111111111111
+
+// identity is the order word listing ways 0..ways-1 by index.
+func identity(ways int) uint64 {
+	o := uint64(0)
+	for w := ways - 1; w >= 0; w-- {
+		o = o<<4 | uint64(w)
+	}
+	return o
+}
+
 // NewSetAssoc returns a cache array with the given geometry. sets must be a
-// power of two (hardware indexes with address bits).
+// power of two (hardware indexes with address bits) and ways at most 16
+// (one nibble per way in a set's order word).
 func NewSetAssoc(sets, ways int) *SetAssoc {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", sets))
 	}
-	if ways <= 0 {
-		panic(fmt.Sprintf("cache: non-positive way count %d", ways))
+	if ways <= 0 || ways > 16 {
+		panic(fmt.Sprintf("cache: way count %d outside [1,16]", ways))
 	}
-	return &SetAssoc{
+	c := &SetAssoc{
 		sets:      sets,
 		ways:      ways,
-		arr:       make([]way, sets*ways),
+		tags:      make([]uint64, sets*ways),
+		order:     make([]uint64, sets),
+		valid:     make([]uint16, sets),
 		dirty:     make([]bool, sets),
 		dirtyList: make([]int32, 0, sets),
 	}
+	id := identity(ways)
+	for i := range c.order {
+		c.order[i] = id
+	}
+	return c
 }
 
 // Sets returns the number of sets.
@@ -81,44 +104,50 @@ func (c *SetAssoc) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *SetAssoc) Ways() int { return c.ways }
 
-func (c *SetAssoc) checkSet(set int) {
-	if set < 0 || set >= c.sets {
-		panic(fmt.Sprintf("cache: set %d out of range [0,%d)", set, c.sets))
+// find returns the way of set holding line, or -1.
+func (c *SetAssoc) find(set int, line Line) int {
+	tag, base := uint64(line)+1, set*c.ways
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return w
+		}
 	}
+	return -1
 }
 
-// span returns the contiguous way array of set.
-func (c *SetAssoc) span(set int) []way {
-	base := set * c.ways
-	return c.arr[base : base+c.ways]
+// upTo returns the mask of the nibbles of order word o up to and
+// including the first one equal to way w. The zero-nibble test of o^w
+// marks that nibble's top bit lowest (a borrow only ever marks nibbles
+// above the first zero one); that bit and every bit below it are the
+// mask.
+func upTo(o uint64, w int) uint64 {
+	x := o ^ uint64(w)*nibbles
+	z := (x - nibbles) &^ x & (nibbles << 3)
+	return z ^ (z - 1)
+}
+
+// toFront moves way w, the last nibble under mask upto, to position 0.
+func toFront(o, upto uint64, w int) uint64 {
+	return o&^upto | o<<4&upto | uint64(w)
 }
 
 // Lookup reports whether line is present in set, updating LRU state on a
-// hit.
+// hit. It moves nothing when the hit way is already the most recent.
 func (c *SetAssoc) Lookup(set int, line Line) bool {
-	c.checkSet(set)
-	ws := c.span(set)
-	for i := range ws {
-		if ws[i].line == line && ws[i].age != 0 {
-			c.stamp++
-			ws[i].age = c.stamp
-			return true
-		}
+	w := c.find(set, line)
+	if w < 0 {
+		return false
 	}
-	return false
+	if o := c.order[set]; o&0xf != uint64(w) {
+		c.order[set] = toFront(o, upTo(o, w), w)
+	}
+	return true
 }
 
 // Contains reports presence without touching LRU state (a probe, not an
 // access).
 func (c *SetAssoc) Contains(set int, line Line) bool {
-	c.checkSet(set)
-	ws := c.span(set)
-	for i := range ws {
-		if ws[i].line == line && ws[i].age != 0 {
-			return true
-		}
-	}
-	return false
+	return c.find(set, line) >= 0
 }
 
 // Insert places line into set, evicting the LRU line if the set is full.
@@ -132,75 +161,76 @@ func (c *SetAssoc) Insert(set int, line Line) (evicted Line, wasEvicted bool) {
 // the victim is chosen only among those ways. This models way-partitioned
 // caches, where a security domain may allocate only into its own ways.
 func (c *SetAssoc) InsertWays(set int, line Line, wayLo, wayN int) (evicted Line, wasEvicted bool) {
-	c.checkSet(set)
 	if wayLo < 0 || wayN <= 0 || wayLo+wayN > c.ways {
 		panic(fmt.Sprintf("cache: way range [%d,%d) outside [0,%d)", wayLo, wayLo+wayN, c.ways))
 	}
-	ws := c.span(set)[wayLo : wayLo+wayN]
-	// Strict < keeps the first way of the smallest age. Nothing beats an
-	// invalid way's age of 0, so the scan stops at the first one.
-	victim, oldest := 0, ws[0].age
-	for i := 1; i < len(ws) && oldest != 0; i++ {
-		if ws[i].age < oldest {
-			victim, oldest = i, ws[i].age
+	o, v := c.order[set], uint32(c.valid[set])
+	inRange := (uint32(1)<<wayN - 1) << wayLo
+	var w int
+	var upto uint64
+	if free := inRange &^ v; free != 0 {
+		w = bits.TrailingZeros32(free)
+		upto = upTo(o, w)
+	} else {
+		// Every way in range is valid: walk up from the least recently
+		// used valid way to the first one in range.
+		sh := uint(bits.OnesCount32(v)-1) * 4
+		for inRange>>(o>>(sh&63)&0xf)&1 == 0 {
+			sh -= 4
 		}
+		w, upto = int(o>>(sh&63)&0xf), uint64(0x10)<<(sh&63)-1
+		evicted, wasEvicted = Line(c.tags[set*c.ways+w]-1), true
 	}
 	if !c.dirty[set] {
 		c.dirty[set] = true
 		c.dirtyList = append(c.dirtyList, int32(set))
 	}
-	w := &ws[victim]
-	if w.age != 0 {
-		evicted, wasEvicted = w.line, true
-	}
-	c.stamp++
-	w.line = line
-	w.age = c.stamp
+	c.tags[set*c.ways+w] = uint64(line) + 1
+	c.valid[set] = uint16(v | 1<<w)
+	c.order[set] = toFront(o, upto, w)
 	return evicted, wasEvicted
 }
 
 // Remove invalidates line in set if present, reporting whether it was.
+// The way moves to the back of the order, behind the valid ways.
 func (c *SetAssoc) Remove(set int, line Line) bool {
-	c.checkSet(set)
-	ws := c.span(set)
-	for i := range ws {
-		if ws[i].line == line && ws[i].age != 0 {
-			ws[i].age = 0
-			return true
-		}
+	w := c.find(set, line)
+	if w < 0 {
+		return false
 	}
-	return false
+	c.tags[set*c.ways+w] = 0
+	c.valid[set] &^= 1 << w
+	o := c.order[set]
+	below := upTo(o, w) >> 4
+	c.order[set] = o&below | o>>4&^below | uint64(w)<<((4*c.ways-4)&63)
+	return true
 }
 
 // Occupancy returns the number of valid lines in set.
 func (c *SetAssoc) Occupancy(set int) int {
-	c.checkSet(set)
-	n := 0
-	for _, w := range c.span(set) {
-		if w.age != 0 {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount16(c.valid[set])
 }
 
-// Flush invalidates every line in the array.
+// Flush invalidates every line in the array. The order words keep their
+// valid prefix, now empty, so they need no rewrite.
 func (c *SetAssoc) Flush() {
-	for i := range c.arr {
-		c.arr[i].age = 0
-	}
+	clear(c.tags)
+	clear(c.valid)
 }
 
-// Reset returns the array to its just-constructed state: every way
-// zeroed and the LRU stamp rewound to zero, so replacement decisions
-// after a reset replay those of a fresh cache bit for bit. It clears only
-// the sets inserted into since the last Reset; every other set is still
-// all-zero (see SetAssoc), so the cost is O(sets written), not O(array).
+// Reset returns the array to its just-constructed state: every tag and
+// valid bit zeroed and every order word back to the identity, so
+// replacement decisions after a reset replay those of a fresh cache bit
+// for bit. It restores only the sets inserted into since the last Reset;
+// every other set is untouched (see SetAssoc), so the cost is O(sets
+// written), not O(array).
 func (c *SetAssoc) Reset() {
+	id := identity(c.ways)
 	for _, set := range c.dirtyList {
-		clear(c.span(int(set)))
+		clear(c.tags[int(set)*c.ways : int(set+1)*c.ways])
+		c.valid[set] = 0
+		c.order[set] = id
 		c.dirty[set] = false
 	}
 	c.dirtyList = c.dirtyList[:0]
-	c.stamp = 0
 }

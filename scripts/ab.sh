@@ -9,9 +9,19 @@
 # ratio of cpu_throughput), then for each end-to-end metric of
 # BENCHMARK.json each side's median [min–max] and interquartile range,
 # how many pairs head won and lost, and the median [min–max] of the
-# per-pair head/base ratios. It exits 1 if any seed's digest, `correct`
-# or `failed` differs between the sides, and 2 on a usage error. It does
-# not judge speed: whether a gain or loss is real is read off the table.
+# per-pair head/base ratios.
+#
+# Exit status:
+#   0  outputs match and no metric regressed past its bound;
+#   1  some seed's digest, `correct` or `failed` differs between the sides
+#      (this wins over 3);
+#   2  usage error;
+#   3  on some workload and end-to-end metric, head lost a majority of the
+#      pairs AND head's median is worse than base's by more than the
+#      metric's `bound` in BENCHMARK.json (a relative bound: 0.25 means
+#      25% lower for a higher-is-better metric, 25% higher for a
+#      lower-is-better one). Each such workload and metric is named.
+# It does not judge gains: whether a gain is real is read off the table.
 #
 # Usage:
 #   scripts/ab.sh [-n SEEDS] [-s SECONDS] [-w WORKLOAD[,WORKLOAD...]] BASE [HEAD]
@@ -110,7 +120,7 @@ def quartiles(xs):
 def fmt(x):
     return f"{x:.4g}"
 
-mismatch = 0
+mismatch, regressions = 0, []
 for w in workloads:
     seeds = range(1, nseeds + 1)
     runs = {s: (load(w, s, "base"), load(w, s, "head")) for s in seeds}
@@ -137,9 +147,18 @@ for w in workloads:
             return f"{fmt(statistics.median(xs))} [{fmt(min(xs))}-{fmt(max(xs))}] {fmt(q1)}-{fmt(q3)}"
         rat = f"x{statistics.median(ratios):.3f} [x{min(ratios):.3f}-x{max(ratios):.3f}]" if ratios else "-"
         print(f"{name:16} {m['unit']:9} {side(bs):38} {side(hs):38} {wins:>4}/{losses:<6}  {rat}")
+        bmed, hmed = statistics.median(bs), statistics.median(hs)
+        limit = bmed * (1 - m["bound"]) if higher else bmed * (1 + m["bound"])
+        if 2 * losses > len(bs) and (hmed < limit if higher else hmed > limit):
+            regressions.append(f"{w} {name}: head lost {losses}/{len(bs)} pairs, median "
+                               f"{fmt(hmed)} vs base {fmt(bmed)} (bound {m['bound']:.0%})")
 
+for r in regressions:
+    print(f"ab: REGRESSION {r}", file=sys.stderr)
 if mismatch:
     print(f"\nab: {mismatch} seed(s) with differing digest, correct or failed", file=sys.stderr)
     sys.exit(1)
 print("\nab: every digest, correct flag and failed count matches")
+if regressions:
+    sys.exit(3)
 EOF
