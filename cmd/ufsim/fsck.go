@@ -10,8 +10,7 @@ import (
 
 // fsckCmd is `ufsim fsck <statedir>`: offline verification of a sweep
 // state dir. It checks every journal record's checksum, the
-// snapshot/journal/manifest generation consistency, a legacy
-// sweep-state.json if that is what the dir holds, and every per-unit
+// snapshot/journal/manifest generation consistency, and every per-unit
 // artifact (results, crash and quarantine records) for parseability and
 // ownership. Warnings (torn tails recovery would absorb, stale files,
 // orphans) exit 0; corruption — anything recovery could not trust —
@@ -38,7 +37,7 @@ func fsckCmd(args []string) int {
 		return exitFailures
 	}
 	if !*quiet {
-		mode := "legacy"
+		mode := "no journal"
 		if rep.Journaled {
 			mode = fmt.Sprintf("journal generation %d", rep.Generation)
 		}

@@ -1,6 +1,6 @@
 // Command ufsim regenerates the tables and figures of "Uncore Encore:
 // Covert Channels Exploiting Uncore Frequency Scaling" (MICRO 2023) on the
-// simulated platform, through a supervised runner that survives individual
+// simulated platform, through a supervised sweep that survives individual
 // experiment failures.
 //
 // Usage:
@@ -11,19 +11,22 @@
 //	ufsim -experiment fig10 -quick   fast, reduced-density variant
 //	ufsim -experiment fig9 -seed 7   change the simulation seed
 //
-// Sweep supervision (see DESIGN.md "Experiment orchestration"):
+// Every sweep runs on the sweep coordinator with in-process workers, the
+// same path as `ufsim serve -loopback` (see DESIGN.md "Experiment
+// orchestration"):
 //
-//	-jobs 4          run up to 4 experiments in parallel
+//	-jobs 4          run 4 workers, one experiment each at a time
 //	-timeout 10m     bound each attempt's wall-clock time
 //	-retries 1       retry a failed experiment once, reseeded
 //	-keep-going      survive failures and finish the rest of the sweep
-//	-artifacts DIR   write crash artifacts and the sweep manifest here
-//	-resume          skip experiments already done in DIR's manifest
+//	-artifacts DIR   keep the sweep journal and crash artifacts here
+//	-resume          reopen DIR's journal; only failed and unfinished
+//	                 experiments run
 //
 // A failed run leaves DIR/<id>.crash.json with the seed, options, error,
-// stack, log tail, and the exact replay command. Ctrl-C cancels the sweep
-// gracefully: in-flight runs stop at their next engine check, and the
-// summary still prints.
+// stack, log tail, and the exact replay command. Each report prints as
+// its experiment finishes. Ctrl-C drains the sweep (running experiments
+// finish), a second Ctrl-C aborts it; the summary still prints.
 //
 // The reliability subcommand runs one faulted ARQ transfer and prints
 // its per-frame transcript:
@@ -68,16 +71,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/signal"
-	"path/filepath"
-	"syscall"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
-	"repro/internal/vfs"
 )
 
 // Exit codes, uniform across subcommands: 0 success, 1 completed with
@@ -123,8 +120,8 @@ func run() int {
 		timeout   = flag.Duration("timeout", 0, "wall-clock limit per experiment attempt (0 = none)")
 		retries   = flag.Int("retries", 0, "retries per failed experiment (each reseeded)")
 		keepGoing = flag.Bool("keep-going", false, "continue the sweep past failures")
-		artifacts = flag.String("artifacts", "", "directory for crash artifacts and the sweep manifest")
-		resume    = flag.Bool("resume", false, "skip experiments already completed in the -artifacts manifest")
+		artifacts = flag.String("artifacts", "", "directory for the sweep state, crash artifacts and the merged manifest (default: state in memory)")
+		resume    = flag.Bool("resume", false, "reopen the -artifacts sweep state; only unfinished and failed experiments run")
 		maxSteps  = flag.Int64("max-steps", 0, "per-machine engine step budget (0 = none); runaway simulations fail instead of spinning")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
@@ -144,7 +141,7 @@ func run() int {
 		}
 	}
 	if *resume && *artifacts == "" {
-		fmt.Fprintln(os.Stderr, "ufsim: -resume needs -artifacts (the manifest lives there)")
+		fmt.Fprintln(os.Stderr, "ufsim: -resume needs -artifacts (the sweep state lives there)")
 		return exitUsage
 	}
 
@@ -159,93 +156,28 @@ func run() int {
 		return 0
 	}
 
-	var exps []experiments.Experiment
-	if *id == "all" {
-		exps = experiments.All()
-	} else {
-		e, ok := experiments.Get(*id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ufsim: unknown experiment %q (use -list)\n", *id)
-			return exitUsage
-		}
-		exps = []experiments.Experiment{e}
+	ids, code := experimentIDs(*id)
+	if code != exitOK {
+		return code
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := runner.Config{
-		Jobs:           *jobs,
-		Timeout:        *timeout,
-		Retries:        *retries,
-		KeepGoing:      *keepGoing,
-		Seed:           *seed,
-		Quick:          *quick,
-		MaxEngineSteps: *maxSteps,
-		ArtifactDir:    *artifacts,
-		Resume:         *resume,
-		Log:            os.Stderr,
-		OnResult:       func(rep runner.Report) { emit(rep, *out) },
-	}
-	start := time.Now()
-	sum, err := runner.Run(ctx, cfg, exps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ufsim: %v\n", err)
-		return exitFailures
-	}
-
-	if len(exps) > 1 || sum.Failed > 0 || sum.Skipped > 0 {
-		fmt.Printf("sweep: %s in %.1fs\n", sum, time.Since(start).Seconds())
-	}
-	for _, rep := range sum.Reports {
-		if rep.Status == runner.StatusFailed && rep.Artifact != "" {
-			fmt.Fprintf(os.Stderr, "ufsim: %s failed; crash artifact: %s\n", rep.ID, rep.Artifact)
-		}
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "ufsim: sweep interrupted")
-		return exitSignal
-	}
-	if sum.Failed > 0 {
-		if *artifacts != "" {
-			fmt.Fprintf(os.Stderr, "ufsim: re-run only the failures with: ufsim -experiment %s -artifacts %s -resume\n", *id, *artifacts)
-		}
-		return exitFailures
-	}
-	return exitOK
-}
-
-// emit renders one finished experiment: to stdout, and — for successful
-// runs with -out — to <out>/<id>.txt. Reports arrive serialized from the
-// runner, so concurrent sweeps never interleave their rendering.
-func emit(rep runner.Report, out string) {
-	switch rep.Status {
-	case runner.StatusDone:
-		if rep.Cached {
-			return // already reported (and rendered) by the sweep that did it
-		}
-		fmt.Printf("== %s: %s\n", rep.ID, rep.Title)
-		if err := rep.Result.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "ufsim: rendering %s: %v\n", rep.ID, err)
-		}
-		fmt.Printf("(%s in %.1fs)\n\n", rep.ID, rep.Duration.Seconds())
-		if out != "" {
-			if err := writeReport(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "ufsim: writing %s report: %v\n", rep.ID, err)
-			}
-		}
-	case runner.StatusFailed:
-		fmt.Fprintf(os.Stderr, "ufsim: %s failed after %d attempt(s): %v\n", rep.ID, rep.Attempts, rep.Err)
-	case runner.StatusSkipped:
-		fmt.Fprintf(os.Stderr, "ufsim: %s skipped: %v\n", rep.ID, rep.Err)
-	}
-}
-
-// writeReport persists one report atomically: the render goes to a temp
-// file that is renamed into place only on success, so a failed or
-// interrupted Render never leaves a truncated <id>.txt behind.
-func writeReport(dir string, rep runner.Report) error {
-	return vfs.WriteFileAtomic(vfs.OS{}, filepath.Join(dir, rep.ID+".txt"), func(w io.Writer) error {
-		return rep.Result.Render(w)
-	})
+	return runSweep(context.Background(), experimentSweep(experimentOptions{
+		id:        *id,
+		ids:       ids,
+		seed:      *seed,
+		quick:     *quick,
+		jobs:      *jobs,
+		keepGoing: *keepGoing,
+		resume:    *resume,
+		out:       *out,
+		base: runner.Config{
+			Timeout:        *timeout,
+			Retries:        *retries,
+			MaxEngineSteps: *maxSteps,
+			ArtifactDir:    *artifacts,
+			Log:            os.Stderr,
+		},
+		lookup: experiments.Get,
+		stdout: os.Stdout,
+		stderr: os.Stderr,
+	}))
 }

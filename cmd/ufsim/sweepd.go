@@ -5,11 +5,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -26,11 +23,11 @@ import (
 // -loopback N (the hermetic mode CI uses, optionally chaos-faulted with
 // -chaos-net).
 //
-// Shutdown is two-grade: the first SIGINT/SIGTERM drains (no new
-// leases; in-flight units finish and report), the second aborts. Either
-// way the merged manifest is written atomically before exit, so
-// `ufsim serve -resume` — or plain `ufsim -resume` on the same
-// artifacts dir — re-runs only the unfinished units.
+// The sweep runs through runSweep, like `ufsim -experiment`: the first
+// SIGINT/SIGTERM drains, the second aborts, and every transition is in
+// the state dir's journal, so `ufsim serve -resume` — or `ufsim
+// -experiment ... -resume` on the same artifacts dir — re-runs only the
+// unfinished and quarantined units.
 func serveCmd(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
@@ -40,7 +37,7 @@ func serveCmd(args []string) int {
 		seed      = fs.Uint64("seed", experiments.DefaultOptions().Seed, "simulation seed")
 		replicas  = fs.Int("replicas", 1, "replicas per experiment (derived seeds)")
 		artifacts = fs.String("artifacts", "sweep-artifacts", "state dir: sweep state, results, crash and quarantine artifacts, merged manifest")
-		resume    = fs.Bool("resume", false, "resume from the state dir; only unfinished units run")
+		resume    = fs.Bool("resume", false, "resume from the state dir; only unfinished and quarantined units run")
 
 		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "worker lease TTL (missed heartbeats past this reassign the unit)")
 		expiryN    = fs.Int("expiry-budget", 5, "lease expiries before a unit is quarantined")
@@ -74,12 +71,12 @@ func serveCmd(args []string) int {
 	}
 
 	ids, code := experimentIDs(*id)
-	if code != 0 {
+	if code != exitOK {
 		return code
 	}
 	if err := os.MkdirAll(*artifacts, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "ufsim serve: %v\n", err)
-		return 1
+		return exitFailures
 	}
 
 	// The state-dir filesystem: real, or wrapped in the deterministic
@@ -91,210 +88,63 @@ func serveCmd(args []string) int {
 		disk = faults.NewFaultyDisk(vfs.OS{}, faults.DefaultDiskConfig(*chaosDisk), *chaosSeed)
 		stateFS = disk
 	}
-
-	units := sweepd.ReplicaUnits(ids, *seed, *quick, *replicas)
-	c, err := sweepd.NewCoordinator(sweepd.CoordinatorConfig{
-		LeaseTTL:        *leaseTTL,
-		ExpiryBudget:    *expiryN,
-		QuarantineAfter: *quarantine,
-		RetryBase:       *retryBase,
-		Seed:            *seed,
-		StateDir:        *artifacts,
-		Resume:          *resume,
-		FS:              stateFS,
-		Log:             os.Stderr,
-	}, units)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ufsim serve: %v\n", err)
-		return 1
+	var plan *faults.NetPlan
+	if *chaosNet > 0 {
+		plan = faults.NewNetPlan(faults.DefaultNetConfig(*chaosNet), *chaosSeed)
 	}
-	defer c.Close()
-
-	// The admission gate fronts both transports and feeds the brownout
-	// pressure signal into lease retry hints.
-	gate := sweepd.NewGate(sweepd.GateConfig{Default: sweepd.GateLimits{
-		Inflight:  *inflight,
-		Queue:     *queueLen,
-		QueueWait: *queueWait,
-	}})
-	c.AttachGate(gate)
-
-	if salv := c.Salvage(); salv != nil {
-		fmt.Fprintf(os.Stderr, "ufsim serve: LOSSY RECOVERY (%s): %s (report: %s)\n",
-			salv.Kind, salv.Detail, filepath.Join(*artifacts, sweepd.SalvageName))
+	var overload *faults.OverloadPlan
+	if *chaosOverload > 0 {
+		overload = faults.NewOverloadPlan(faults.DefaultOverloadConfig(*chaosOverload), *chaosSeed)
+	}
+	base := runner.Config{
+		Timeout:        *timeout,
+		Retries:        *retries,
+		MaxEngineSteps: *maxSteps,
+		ArtifactDir:    *artifacts,
 	}
 
-	// Two-grade shutdown: first signal drains, second aborts.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	signalled := make(chan struct{})
-	go func() {
-		select {
-		case <-sig:
-		case <-ctx.Done():
-			return
-		}
-		fmt.Fprintln(os.Stderr, "ufsim serve: draining (signal again to abort)")
-		close(signalled)
-		c.Drain()
-		// A drained sweep leaves unleased units pending forever, so Done
-		// never closes; release the main wait once no lease is live.
-		go func() {
-			for !c.Quiesced() {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(100 * time.Millisecond):
-				}
-			}
-			cancel()
-		}()
-		select {
-		case <-sig:
-			fmt.Fprintln(os.Stderr, "ufsim serve: aborting")
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
-	if *loopback > 0 {
-		var plan *faults.NetPlan
-		if *chaosNet > 0 {
-			plan = faults.NewNetPlan(faults.DefaultNetConfig(*chaosNet), *chaosSeed)
-		}
-		var overload *faults.OverloadPlan
-		if *chaosOverload > 0 {
-			overload = faults.NewOverloadPlan(faults.DefaultOverloadConfig(*chaosOverload), *chaosSeed)
-		}
-		base := runner.Config{
-			Timeout:        *timeout,
-			Retries:        *retries,
-			MaxEngineSteps: *maxSteps,
-			ArtifactDir:    *artifacts,
-		}
-		rep := sweepd.RunFleet(ctx, c, sweepd.FleetConfig{
+	return runSweep(context.Background(), sweepSpec{
+		name:  "ufsim serve",
+		units: sweepd.ReplicaUnits(ids, *seed, *quick, *replicas),
+		coord: sweepd.CoordinatorConfig{
+			LeaseTTL:        *leaseTTL,
+			ExpiryBudget:    *expiryN,
+			QuarantineAfter: *quarantine,
+			RetryBase:       *retryBase,
+			Seed:            *seed,
+			StateDir:        *artifacts,
+			Resume:          *resume,
+			FS:              stateFS,
+			Log:             os.Stderr,
+		},
+		gate: sweepd.GateLimits{Inflight: *inflight, Queue: *queueLen, QueueWait: *queueWait},
+		fleet: sweepd.FleetConfig{
 			Workers:        *loopback,
 			Jobs:           *jobs,
-			NewRunner:      func(string) sweepd.UnitRunner { return sweepd.ExperimentRunner(base) },
 			Plan:           plan,
 			Overload:       overload,
-			Gate:           gate,
 			HerdStart:      *herd,
 			BatchCompletes: *batch,
 			Respawn:        plan != nil,
 			Log:            os.Stderr,
-		})
-		if plan != nil {
-			fmt.Fprintf(os.Stderr, "ufsim serve: chaos stats: %+v (fleet %+v)\n", plan.Stats(), rep)
-		}
-		if overload != nil {
-			fmt.Fprintf(os.Stderr, "ufsim serve: overload stats: %+v (gate %+v)\n", overload.Stats(), gate.Stats())
-		}
-		if disk != nil {
-			fmt.Fprintf(os.Stderr, "ufsim serve: disk chaos stats: %+v\n", disk.Stats())
-		}
-		return finishSweep(c, *artifacts, drained(signalled))
-	}
-
-	handler := sweepd.NewServer(c, sweepd.ServerConfig{Gate: gate, Log: os.Stderr})
-	srv := sweepd.NewHTTPServer(*addr, handler, sweepd.HTTPTimeouts{})
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.ListenAndServe() }()
-	hint := *addr
-	if strings.HasPrefix(hint, ":") {
-		hint = "HOST" + hint
-	}
-	fmt.Fprintf(os.Stderr, "ufsim serve: %d unit(s) on %s (workers: ufsim worker -coordinator http://%s)\n",
-		len(units), *addr, hint)
-
-	err = c.Wait(ctx, 200*time.Millisecond)
-	if err != nil {
-		// Aborted or drained: give live leases a beat to land their
-		// completions, bounded so a hung worker cannot wedge shutdown.
-		quiesce := time.After(2 * *leaseTTL)
-	wait:
-		for !c.Quiesced() {
-			select {
-			case <-quiesce:
-				break wait
-			case <-time.After(100 * time.Millisecond):
+		},
+		newRunner: func(*sweepd.Coordinator) sweepd.UnitRunner { return experimentRunner(base, experiments.Get) },
+		addr:      *addr,
+		drainFor:  *drainFor,
+		stats: func(rep sweepd.FleetReport, gate *sweepd.Gate) {
+			if plan != nil {
+				fmt.Fprintf(os.Stderr, "ufsim serve: chaos stats: %+v (fleet %+v)\n", plan.Stats(), rep)
 			}
-		}
-	}
-	// Graceful drain: stop accepting, let in-flight requests land their
-	// responses, and only hard-close past the deadline.
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), *drainFor)
-	defer shutCancel()
-	srv.Shutdown(shutCtx)
-	select {
-	case err := <-srvErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "ufsim serve: %v\n", err)
-			return 1
-		}
-	default:
-	}
-	return finishSweep(c, *artifacts, drained(signalled))
-}
-
-// drained reports whether the channel fired.
-func drained(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// finishSweep writes the merged manifest and maps the sweep outcome to
-// the process exit code: 0 all done, 1 completed with quarantined units,
-// 3 stopped by signal with work left unfinished, 4 degraded (state
-// could not be persisted; the sweep is not resumable past its last
-// durable transition). A signal that arrives after the last unit merged
-// is not an abort — the sweep's content decides the code whenever
-// nothing was cut short.
-func finishSweep(c *sweepd.Coordinator, artifacts string, signalled bool) int {
-	if err := c.WriteManifest(); err != nil {
-		fmt.Fprintf(os.Stderr, "ufsim serve: writing manifest: %v\n", err)
-	}
-	// Final status snapshot (unit states plus shed/queue/breaker
-	// counters when a gate is attached) — what CI uploads.
-	if data, err := c.StatusJSON(); err == nil {
-		if werr := os.WriteFile(filepath.Join(artifacts, "status-final.json"), append(data, '\n'), 0o644); werr != nil {
-			fmt.Fprintf(os.Stderr, "ufsim serve: writing final status: %v\n", werr)
-		}
-	}
-	if deg, reason := c.Degraded(); deg {
-		fmt.Fprintf(os.Stderr, "ufsim serve: DEGRADED: %s\n", reason)
-		fmt.Fprintf(os.Stderr, "ufsim serve: verify the state dir with: ufsim fsck %s\n", artifacts)
-		return exitDegraded
-	}
-	st := c.Snapshot()
-	fmt.Fprintf(os.Stderr, "ufsim serve: done=%d quarantined=%d pending=%d leased=%d (manifest in %s)\n",
-		st.Done, st.Quarantined, st.Pending, st.Leased, artifacts)
-	for _, u := range st.Units {
-		if u.State == sweepd.UnitQuarantined {
-			fmt.Fprintf(os.Stderr, "ufsim serve: %s quarantined: %s (%s)\n",
-				u.Unit.ID, u.Quarantine, sweepd.QuarantinePath(artifacts, u.Unit.ID))
-		}
-	}
-	unfinished := st.Pending + st.Leased
-	switch {
-	case unfinished > 0:
-		fmt.Fprintf(os.Stderr, "ufsim serve: resume with: ufsim serve -artifacts %s -resume ...\n", artifacts)
-		if signalled {
-			return 3
-		}
-		return 1
-	case st.Quarantined > 0:
-		return 1
-	default:
-		return 0
-	}
+			if overload != nil {
+				fmt.Fprintf(os.Stderr, "ufsim serve: overload stats: %+v (gate %+v)\n", overload.Stats(), gate.Stats())
+			}
+			if disk != nil {
+				fmt.Fprintf(os.Stderr, "ufsim serve: disk chaos stats: %+v\n", disk.Stats())
+			}
+		},
+		artifacts: *artifacts,
+		resume:    fmt.Sprintf("ufsim serve -artifacts %s -resume ...", *artifacts),
+	})
 }
 
 // workerCmd is `ufsim worker`: it joins a coordinator's sweep over HTTP
@@ -346,12 +196,12 @@ func workerCmd(args []string) int {
 	w := sweepd.NewWorker(sweepd.WorkerConfig{
 		ID:     *id,
 		Client: &sweepd.HTTPClient{Base: *coord},
-		Run: sweepd.ExperimentRunner(runner.Config{
+		Run: experimentRunner(runner.Config{
 			Timeout:        *timeout,
 			Retries:        *retries,
 			MaxEngineSteps: *maxSteps,
 			ArtifactDir:    *scratch,
-		}),
+		}, experiments.Get),
 		Jobs:            *jobs,
 		RetryBase:       *retryBase,
 		BatchCompletes:  *batch,
@@ -385,7 +235,7 @@ func workerCmd(args []string) int {
 
 	err := w.Run(ctx)
 	switch {
-	case drained(aborted):
+	case fired(aborted):
 		return 3
 	case errors.Is(err, sweepd.ErrDegraded):
 		// The coordinator refused leases because it cannot persist

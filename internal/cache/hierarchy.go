@@ -266,8 +266,12 @@ func (h *Hierarchy) Flush(line Line) bool {
 	// map rebuilt on every clflush.
 	seen := h.flushSeen[:0]
 	seen, present = h.flushUnder(Domain(0), line, seen, present)
-	for d := range h.domainHash {
-		seen, present = h.flushUnder(d, line, seen, present)
+	// As in SliceOf, the common platform has no per-domain hash: skip
+	// the map iterator setup on every clflush.
+	if len(h.domainHash) != 0 {
+		for d := range h.domainHash {
+			seen, present = h.flushUnder(d, line, seen, present)
+		}
 	}
 	h.flushSeen = seen[:0]
 	return present

@@ -1,18 +1,21 @@
 // Registry behavior and the whole-catalog smoke test. This file is an
-// external test package so it can drive the registry through
-// internal/runner (which imports experiments) without a cycle.
+// external test package so it can drive the registry through a sweep
+// fleet (internal/sweepd) and internal/runner, which import experiments,
+// without a cycle.
 package experiments_test
 
 import (
 	"context"
 	"errors"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/sweepd"
 )
 
 func TestGetUnknownID(t *testing.T) {
@@ -63,21 +66,46 @@ func TestAllOrderingStable(t *testing.T) {
 // audit check for the per-experiment cancellation checkpoints.
 func TestEveryExperimentQuickUnderShortDeadline(t *testing.T) {
 	cfg := runner.Config{
-		Jobs:      4,
-		Timeout:   400 * time.Millisecond,
-		Grace:     10 * time.Second, // long: an abandonment here is a hard failure below
-		KeepGoing: true,
-		Quick:     true,
-		Seed:      experiments.DefaultOptions().Seed,
+		Timeout: 400 * time.Millisecond,
+		Grace:   10 * time.Second, // long: an abandonment here is a hard failure below
 	}
-	sum, err := runner.Run(context.Background(), cfg, experiments.All())
+	var ids []string
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
+	}
+	units := sweepd.ReplicaUnits(ids, experiments.DefaultOptions().Seed, true, 1)
+	c, err := sweepd.NewCoordinator(sweepd.CoordinatorConfig{QuarantineAfter: 1}, units)
 	if err != nil {
-		t.Fatalf("runner.Run: %v", err)
+		t.Fatalf("NewCoordinator: %v", err)
 	}
-	if len(sum.Reports) != len(experiments.All()) {
-		t.Fatalf("%d reports for %d experiments", len(sum.Reports), len(experiments.All()))
+	// Four workers run the catalog the way `ufsim -experiment all -quick
+	// -jobs 4` does, each unit through runner.RunOne; the test keeps each
+	// unit's full report.
+	var (
+		mu      sync.Mutex
+		reports []runner.Report
+	)
+	sweepd.RunFleet(context.Background(), c, sweepd.FleetConfig{
+		Workers: 4,
+		Jobs:    1,
+		NewRunner: func(string) sweepd.UnitRunner {
+			return func(ctx context.Context, u sweepd.Unit, _ func(string)) sweepd.UnitResult {
+				e, _ := experiments.Get(u.Experiment)
+				run := cfg
+				run.Seed, run.Quick = u.Seed, u.Quick
+				rep := runner.RunOne(ctx, run, e, nil)
+				mu.Lock()
+				reports = append(reports, rep)
+				mu.Unlock()
+				return sweepd.UnitResult{OK: rep.Status == runner.StatusDone, Error: string(rep.Status), Attempts: rep.Attempts}
+			}
+		},
+	})
+	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
+	if len(reports) != len(experiments.All()) {
+		t.Fatalf("%d reports for %d experiments", len(reports), len(experiments.All()))
 	}
-	for _, rep := range sum.Reports {
+	for _, rep := range reports {
 		rep := rep
 		t.Run(rep.ID, func(t *testing.T) {
 			if rep.Abandoned {

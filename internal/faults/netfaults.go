@@ -9,8 +9,7 @@ import (
 )
 
 // Network faults: where the rest of this package perturbs the simulated
-// platform and the chaos specs misbehave inside one process, NetPlan
-// misbehaves at the *distribution* boundary — the coordinator/worker
+// platform, NetPlan misbehaves at the *distribution* boundary — the coordinator/worker
 // protocol of internal/sweepd. It issues deterministic per-call
 // verdicts (drop the request, drop the response, duplicate, delay),
 // opens partition windows during which a worker's every call fails, and

@@ -1,9 +1,6 @@
-// Package runner is the supervised orchestration layer for the paper's
-// experiment sweeps. Where `ufsim -experiment all` used to execute every
-// experiment serially and abort the whole sweep on the first error, the
-// runner executes any set of experiments.Experiment over a bounded worker
-// pool and survives the individual failure modes a long parameter sweep
-// actually hits:
+// Package runner is the supervision layer every experiment run goes
+// through. RunOne executes one experiments.Experiment and survives the
+// failure modes a long parameter sweep actually hits:
 //
 //   - Deadlines: each attempt runs under its own context.Context with an
 //     optional wall-clock timeout; cancellation reaches the simulation
@@ -11,7 +8,7 @@
 //     run context (sim.Engine.RunContext), and an optional per-machine
 //     step budget converts runaway engines into typed errors.
 //   - Panic isolation: a panicking experiment is recovered in its own
-//     goroutine, recorded with its stack, and does not kill the sweep.
+//     goroutine, recorded with its stack, and does not kill the caller.
 //   - Bounded retry with reseeding: a failed run is retried up to
 //     Retries times, each attempt reseeded by a configurable policy, so
 //     seed-sensitive failures are absorbed without hiding real bugs.
@@ -19,16 +16,10 @@
 //     deterministic JSON artifact (ID, seeds, options, error, stack,
 //     truncated run log, replay command) sufficient to reproduce the
 //     exact run.
-//   - Sweep manifest: progress is checkpointed to a JSON manifest after
-//     every completion; a Resume run skips experiments already done
-//     under the same seed/quick configuration and re-runs only the
-//     failures and the never-started.
-//   - Graceful cancellation: cancelling the parent context (e.g. on
-//     SIGINT) stops new work, cancels in-flight runs, and still yields a
-//     complete summary of done/failed/skipped.
 //
-// The chaos specs in internal/faults exercise every one of these paths;
-// see the package tests.
+// Sweeps — parallelism, resume, stopping on the first failure — are the
+// sweep coordinator's job (internal/sweepd): `ufsim` runs every unit of
+// a sweep through RunOne on a worker of an in-process or remote fleet.
 package runner
 
 import (
@@ -37,18 +28,16 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/vfs"
 )
 
-// Status classifies one experiment's outcome in a sweep.
+// Status classifies one experiment's outcome.
 type Status string
 
 const (
@@ -57,16 +46,13 @@ const (
 	// StatusFailed means every attempt failed; a crash artifact exists
 	// if an artifact directory was configured.
 	StatusFailed Status = "failed"
-	// StatusSkipped means the sweep was cancelled (or stopped by an
-	// earlier failure without KeepGoing) before the experiment ran to
-	// completion.
+	// StatusSkipped means the caller's context was cancelled before
+	// the experiment ran to completion.
 	StatusSkipped Status = "skipped"
 )
 
-// Config tunes a sweep.
+// Config tunes a supervised run.
 type Config struct {
-	// Jobs is the worker-pool width; values below 1 mean 1.
-	Jobs int
 	// Timeout bounds each attempt's wall-clock time; 0 means unbounded.
 	Timeout time.Duration
 	// Grace is how long after an attempt's context is done the
@@ -79,9 +65,6 @@ type Config struct {
 	// Reseed derives attempt seeds: attempt 0 must return base. Nil
 	// installs DefaultReseed.
 	Reseed func(base uint64, attempt int) uint64
-	// KeepGoing continues the sweep past failures; without it the first
-	// failure cancels the remaining experiments (they report skipped).
-	KeepGoing bool
 
 	// Seed and Quick are forwarded into experiments.Options.
 	Seed  uint64
@@ -90,29 +73,21 @@ type Config struct {
 	// leaves runaway engines to the Timeout.
 	MaxEngineSteps int64
 
-	// ArtifactDir, when non-empty, receives crash artifacts and the
-	// sweep manifest (manifest.json). Empty disables both.
+	// ArtifactDir, when non-empty, receives crash artifacts. Empty
+	// disables them.
 	ArtifactDir string
 	// FS is the filesystem all ArtifactDir persistence goes through;
 	// nil means the real one (vfs.OS). Tests and chaos runs inject the
 	// fault-driven filesystems from internal/faults here.
 	FS vfs.FS
-	// Resume loads ArtifactDir's manifest and skips experiments already
-	// done under the same Seed/Quick; failures and never-started
-	// experiments re-run.
-	Resume bool
 
 	// Log receives the runner's progress lines; nil discards them.
 	Log io.Writer
 	// Progress, when non-nil, additionally receives each run's log
 	// lines (the experiment's sweep checkpoints) in real time. The
 	// distributed worker (internal/sweepd) streams them to the
-	// coordinator as heartbeat notes. Must be safe for concurrent
-	// writes when Jobs > 1.
+	// coordinator as heartbeat notes.
 	Progress io.Writer
-	// OnResult, when non-nil, observes each report as its experiment
-	// finishes (serialized; safe to render from).
-	OnResult func(Report)
 }
 
 // fsys resolves the configured filesystem, defaulting to the real one.
@@ -138,18 +113,15 @@ func DefaultReseed(base uint64, attempt int) uint64 {
 type Report struct {
 	ID    string
 	Title string
-	// Status is the outcome class; Cached marks a StatusDone satisfied
-	// from the resume manifest without re-running.
+	// Status is the outcome class.
 	Status Status
-	Cached bool
 	// Attempts counts runs actually started; Seed is the last attempt's
 	// seed.
 	Attempts int
 	Seed     uint64
 	// Err is the final error for failed/skipped reports.
 	Err error
-	// Result is the rendered outcome for done reports (nil when
-	// Cached).
+	// Result is the outcome for done reports.
 	Result experiments.Result
 	// Duration is the wall-clock time across all attempts.
 	Duration time.Duration
@@ -158,31 +130,6 @@ type Report struct {
 	// Abandoned marks a run whose goroutine ignored its context past
 	// the grace window and was left behind (a leaked goroutine).
 	Abandoned bool
-}
-
-// Summary aggregates a sweep.
-type Summary struct {
-	Done, Failed, Skipped int
-	// Cached counts the Done reports satisfied from the resume
-	// manifest.
-	Cached int
-	// Reports holds every outcome, sorted by experiment ID.
-	Reports []Report
-}
-
-// String renders the one-line sweep verdict.
-func (s Summary) String() string {
-	return fmt.Sprintf("%d done (%d cached), %d failed, %d skipped", s.Done, s.Cached, s.Failed, s.Skipped)
-}
-
-// FirstFailure returns the first failed report by ID order, if any.
-func (s Summary) FirstFailure() (Report, bool) {
-	for _, r := range s.Reports {
-		if r.Status == StatusFailed {
-			return r, true
-		}
-	}
-	return Report{}, false
 }
 
 // PanicError is a recovered experiment panic.
@@ -197,125 +144,11 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // grace window; its goroutine is leaked.
 var ErrAbandoned = errors.New("runner: run ignored cancellation and was abandoned")
 
-// Run executes exps over the worker pool and returns the sweep summary.
-// It returns a non-nil error only for orchestration failures (an
-// unusable artifact directory); experiment failures are reported in the
-// summary, per-experiment.
-func Run(ctx context.Context, cfg Config, exps []experiments.Experiment) (Summary, error) {
-	if cfg.Jobs < 1 {
-		cfg.Jobs = 1
-	}
-	if cfg.Grace <= 0 {
-		cfg.Grace = 2 * time.Second
-	}
-	if cfg.Reseed == nil {
-		cfg.Reseed = DefaultReseed
-	}
-	logw := cfg.Log
-	if logw == nil {
-		logw = io.Discard
-	}
-
-	var man *manifest
-	if cfg.ArtifactDir != "" {
-		var err error
-		man, err = openManifest(cfg.fsys(), cfg.ArtifactDir, cfg.Seed, cfg.Quick, cfg.Resume)
-		if err != nil {
-			return Summary{}, err
-		}
-		if cfg.Resume && len(man.Experiments) > 0 {
-			fmt.Fprintf(logw, "resuming from %s (%d recorded outcomes)\n", man.path, len(man.Experiments))
-		}
-	}
-
-	// sweepCtx cancels the remaining work on the first failure when
-	// KeepGoing is off; the parent ctx (SIGINT) cancels through it.
-	sweepCtx, cancelSweep := context.WithCancel(ctx)
-	defer cancelSweep()
-
-	var (
-		mu  sync.Mutex // guards sum, manifest writes, and OnResult
-		sum Summary
-	)
-	record := func(rep Report) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch rep.Status {
-		case StatusDone:
-			sum.Done++
-			if rep.Cached {
-				sum.Cached++
-			}
-		case StatusFailed:
-			sum.Failed++
-		case StatusSkipped:
-			sum.Skipped++
-		}
-		sum.Reports = append(sum.Reports, rep)
-		if man != nil {
-			if err := man.record(rep); err != nil {
-				fmt.Fprintf(logw, "warning: manifest update failed: %v\n", err)
-			}
-		}
-		if cfg.OnResult != nil {
-			cfg.OnResult(rep)
-		}
-	}
-
-	jobs := make(chan experiments.Experiment)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker recycles machines across its experiments;
-			// Machine.Reset makes pooled trials bit-identical to fresh
-			// ones, so the pool changes allocation, not results. Pools
-			// are per-worker so experiments never contend on the mutex.
-			pool := &system.Pool{}
-			for e := range jobs {
-				if err := sweepCtx.Err(); err != nil {
-					record(Report{ID: e.ID, Title: e.Title, Status: StatusSkipped, Seed: cfg.Seed, Err: err})
-					continue
-				}
-				rep := supervise(sweepCtx, cfg, e, logw, pool)
-				record(rep)
-				if rep.Status == StatusFailed && !cfg.KeepGoing {
-					cancelSweep()
-				}
-			}
-		}()
-	}
-
-	for _, e := range exps {
-		// Workers mutate the manifest under mu as they record outcomes;
-		// the resume check must read it under the same lock.
-		cached := false
-		if man != nil && cfg.Resume {
-			mu.Lock()
-			cached = man.completed(e.ID)
-			mu.Unlock()
-		}
-		if cached {
-			record(Report{ID: e.ID, Title: e.Title, Status: StatusDone, Cached: true, Seed: cfg.Seed})
-			fmt.Fprintf(logw, "== %s: done in a previous sweep, skipping\n", e.ID)
-			continue
-		}
-		jobs <- e
-	}
-	close(jobs)
-	wg.Wait()
-
-	sort.Slice(sum.Reports, func(i, j int) bool { return sum.Reports[i].ID < sum.Reports[j].ID })
-	return sum, nil
-}
-
 // RunOne executes a single experiment through the full supervision path
 // — per-attempt deadline, panic isolation, bounded reseeding retries,
-// and crash-artifact capture — outside a sweep. The distributed worker
-// (internal/sweepd) runs each leased unit through it, so one work unit
-// gets exactly the resilience a sweep slot gets. pool may be nil (a
-// fresh machine per trial) or shared across a worker's units.
+// and crash-artifact capture. Every sweep worker runs each leased unit
+// through it. pool may be nil (a fresh machine per trial) or shared
+// across a worker's units.
 func RunOne(ctx context.Context, cfg Config, e experiments.Experiment, pool *system.Pool) Report {
 	if cfg.Grace <= 0 {
 		cfg.Grace = 2 * time.Second
@@ -476,31 +309,4 @@ func (l *runLog) String() string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return string(l.buf)
-}
-
-// ChaosResult is the trivial Result chaos experiments render.
-type ChaosResult string
-
-// Render implements experiments.Result.
-func (r ChaosResult) Render(w io.Writer) error {
-	_, err := fmt.Fprintln(w, string(r))
-	return err
-}
-
-// ChaosExperiment adapts a faults.ChaosSpec into an Experiment so the
-// chaos suite can ride through the same supervision path as the real
-// sweeps. (The adapter lives here and not in internal/faults because
-// the experiments package imports faults.)
-func ChaosExperiment(spec faults.ChaosSpec) experiments.Experiment {
-	return experiments.Experiment{
-		ID:    spec.ID,
-		Title: "chaos: " + spec.Mode.String(),
-		Run: func(o experiments.Options) (experiments.Result, error) {
-			msg, err := spec.Execute(o.Ctx(), o.Seed, o.MaxEngineSteps)
-			if err != nil {
-				return nil, err
-			}
-			return ChaosResult(msg), nil
-		},
-	}
 }

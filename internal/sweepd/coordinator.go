@@ -53,10 +53,11 @@ type CoordinatorConfig struct {
 	// merged manifest (manifest.json). Empty keeps everything in
 	// memory.
 	StateDir string
-	// Resume replays StateDir's durable state (journal + snapshot, or a
-	// legacy sweep-state.json, which is migrated) and keeps terminal
-	// outcomes whose unit grid matches; in-flight leases from the dead
-	// coordinator revert to pending without charging budgets.
+	// Resume replays StateDir's durable state (snapshot + journal) and
+	// keeps done outcomes whose unit grid matches. Quarantined units and
+	// in-flight leases from the dead coordinator revert to pending; a
+	// resumed quarantined unit keeps its failure history, so its next
+	// failure quarantines it again.
 	Resume bool
 	// FS is the filesystem all StateDir persistence goes through; nil
 	// means the real one (vfs.OS). Tests and chaos runs inject the
@@ -186,8 +187,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over the unit grid. With
-// cfg.Resume set and matching durable state in cfg.StateDir, terminal
-// outcomes are restored so only unfinished units run.
+// cfg.Resume set and matching durable state in cfg.StateDir, done
+// outcomes are restored so only unfinished and failed units run.
 func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -229,7 +230,7 @@ func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 		}
 		c.mu.Unlock()
 		if restored > 0 {
-			fmt.Fprintf(cfg.Log, "sweepd: resumed %d terminal unit(s) from %s (journal generation %d)\n", restored, cfg.StateDir, store.gen)
+			fmt.Fprintf(cfg.Log, "sweepd: resumed %d done unit(s) from %s (journal generation %d)\n", restored, cfg.StateDir, store.gen)
 		}
 	}
 	c.mu.Lock()

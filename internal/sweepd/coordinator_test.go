@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/runner"
 )
 
 // testUnits builds n pending units u00..u(n-1).
@@ -330,7 +328,7 @@ func TestDrainStopsLeasing(t *testing.T) {
 		t.Fatal("not quiesced after the only lease completed")
 	}
 	c.WriteManifest()
-	data, err := os.ReadFile(filepath.Join(dir, runner.ManifestName))
+	data, err := os.ReadFile(filepath.Join(dir, MergedManifestName))
 	if err != nil {
 		t.Fatalf("merged manifest: %v", err)
 	}
@@ -342,8 +340,9 @@ func TestDrainStopsLeasing(t *testing.T) {
 }
 
 // TestResumeAfterCoordinatorCrash: a new coordinator over the same
-// state dir keeps terminal outcomes (matching grid), reverts in-flight
-// leases to pending, and preserves budgets.
+// state dir keeps done outcomes (matching grid), reverts in-flight
+// leases to pending, and gives a quarantined unit one more run with its
+// failure history intact.
 func TestResumeAfterCoordinatorCrash(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
 	dir := t.TempDir()
@@ -370,7 +369,7 @@ func TestResumeAfterCoordinatorCrash(t *testing.T) {
 
 	want := map[UnitID]UnitState{
 		"u00": UnitDone,
-		"u01": UnitQuarantined,
+		"u01": UnitPending,
 		"u02": UnitPending,
 		"u03": UnitPending,
 	}
@@ -379,23 +378,59 @@ func TestResumeAfterCoordinatorCrash(t *testing.T) {
 			t.Fatalf("%s resumed as %s, want %s", id, st.State, state)
 		}
 	}
+	// The failure history survived the crash.
+	if st := unitState(t, c2, "u01"); len(st.Failures) != 3 || st.Quarantine != "" {
+		t.Fatalf("u01 resumed with %d failures, quarantine %q; want 3 and none", len(st.Failures), st.Quarantine)
+	}
 	// The resumed pending units are immediately leasable and the sweep
-	// finishes without touching u00/u01 again.
-	for i := 0; i < 2; i++ {
+	// finishes without touching u00 again; u01's next failure
+	// quarantines it at once.
+	for i := 0; i < 3; i++ {
 		lu := leaseOne(t, c2, "fresh")
-		if lu.Unit.ID == "u00" || lu.Unit.ID == "u01" {
-			t.Fatalf("terminal unit %s re-leased after resume", lu.Unit.ID)
+		switch lu.Unit.ID {
+		case "u00":
+			t.Fatal("done unit u00 re-leased after resume")
+		case "u01":
+			c2.Complete(CompleteRequest{Worker: "fresh", Unit: lu.Unit.ID, Epoch: lu.Epoch, Error: "poison"})
+		default:
+			c2.Complete(CompleteRequest{Worker: "fresh", Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "r"})
 		}
-		c2.Complete(CompleteRequest{Worker: "fresh", Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "r"})
 	}
 	select {
 	case <-c2.Done():
 	default:
 		t.Fatal("resumed sweep not done")
 	}
-	// Quarantine history survived the crash.
-	if st := unitState(t, c2, "u01"); len(st.Failures) != 3 {
-		t.Fatalf("quarantine history lost on resume: %+v", st)
+	if st := unitState(t, c2, "u01"); st.State != UnitQuarantined || len(st.Failures) != 4 {
+		t.Fatalf("u01 after one more failure: %+v", st)
+	}
+}
+
+// TestResumedFailureIsNotARedelivery: a resumed coordinator grants
+// epochs above the recorded failures', so the same worker failing the
+// unit again is a new failure, not a redelivery of the old one.
+func TestResumedFailureIsNotARedelivery(t *testing.T) {
+	clk := NewManualClock(time.Unix(0, 0))
+	dir := t.TempDir()
+	units := testUnits(1)
+	withState := func(resume bool) func(*CoordinatorConfig) {
+		return func(cfg *CoordinatorConfig) {
+			cfg.StateDir, cfg.Resume, cfg.QuarantineAfter = dir, resume, 2
+		}
+	}
+	c1 := newTestCoordinator(t, clk, withState(false), units)
+	lu := leaseOne(t, c1, "a")
+	c1.Complete(CompleteRequest{Worker: "a", Unit: lu.Unit.ID, Epoch: lu.Epoch, Error: "boom"})
+
+	c2 := newTestCoordinator(t, clk, withState(true), units)
+	clk.Advance(time.Hour)
+	lu2 := leaseOne(t, c2, "a")
+	if lu2.Epoch <= lu.Epoch {
+		t.Fatalf("resumed lease epoch %d, want above the recorded failure's %d", lu2.Epoch, lu.Epoch)
+	}
+	c2.Complete(CompleteRequest{Worker: "a", Unit: lu2.Unit.ID, Epoch: lu2.Epoch, Error: "boom"})
+	if st := unitState(t, c2, "u00"); st.State != UnitPending || len(st.Failures) != 2 {
+		t.Fatalf("after a second failure by the same worker: %+v", st)
 	}
 }
 

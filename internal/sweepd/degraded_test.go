@@ -257,16 +257,3 @@ func TestCoordinatorSalvageExposed(t *testing.T) {
 		t.Fatalf("post-salvage snapshot: %+v", st)
 	}
 }
-
-// TestCoordinatorCorruptLegacyResume: NewCoordinator over a damaged
-// pre-journal sweep-state.json fails loudly instead of migrating it.
-func TestCoordinatorCorruptLegacyResume(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": [{"truncated`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := CoordinatorConfig{StateDir: dir, Resume: true}
-	if _, err := NewCoordinator(cfg, testUnits(1)); err == nil {
-		t.Fatal("corrupt state resumed silently")
-	}
-}

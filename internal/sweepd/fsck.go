@@ -20,8 +20,8 @@ import (
 // generations, orphaned artifacts).
 type FsckReport struct {
 	Dir string `json:"dir"`
-	// Journaled reports whether the dir uses the journal layout (vs a
-	// legacy sweep-state.json or nothing).
+	// Journaled reports whether the dir holds a journal at all (a dir
+	// without journal-manifest.json is a fresh sweep's).
 	Journaled  bool   `json:"journaled"`
 	Generation uint64 `json:"generation,omitempty"`
 	// Units is how many units the recovered state tracks; Records how
@@ -48,8 +48,7 @@ func (r *FsckReport) corruptf(format string, args ...any) {
 var crashArtifactRE = regexp.MustCompile(`^(.*)\.\d+\.crash\.json$`)
 
 // Fsck verifies a sweep state dir offline: journal record checksums,
-// snapshot/journal/manifest consistency, legacy state readability, and
-// that every per-unit artifact parses and belongs to a tracked unit.
+// snapshot/journal/manifest consistency, and that every per-unit artifact parses and belongs to a tracked unit.
 // The error return is reserved for an unreadable dir; damage is
 // reported in the FsckReport so callers can render everything found,
 // not just the first problem.
@@ -63,23 +62,12 @@ func Fsck(fsys vfs.FS, dir string) (FsckReport, error) {
 	}
 
 	known := map[UnitID]bool{}
-	trackUnits := func(entries []stateEntry) {
-		for _, e := range entries {
-			known[e.Unit.ID] = true
-		}
-	}
 
 	manifestPath := filepath.Join(dir, JournalManifestName)
 	manData, manErr := fsys.ReadFile(manifestPath)
 	switch {
 	case errors.Is(manErr, fs.ErrNotExist):
-		entries, err := readLegacyState(fsys, dir)
-		if err != nil {
-			rep.corruptf("%v", err)
-		} else {
-			trackUnits(entries)
-			rep.Units = len(entries)
-		}
+		// No journal: nothing to verify but the artifacts below.
 	case manErr != nil:
 		rep.corruptf("reading %s: %v", manifestPath, manErr)
 	default:
@@ -124,12 +112,10 @@ func Fsck(fsys vfs.FS, dir string) (FsckReport, error) {
 				base = applyJournal(base, scan.entries)
 			}
 		}
-		trackUnits(base)
-		rep.Units = len(base)
-
-		if _, err := fsys.Stat(filepath.Join(dir, StateName)); err == nil {
-			rep.warnf("stale legacy %s alongside the journal (superseded; safe to delete)", StateName)
+		for _, e := range base {
+			known[e.Unit.ID] = true
 		}
+		rep.Units = len(base)
 	}
 
 	entries, err := fsys.ReadDir(dir)
@@ -143,9 +129,9 @@ func Fsck(fsys vfs.FS, dir string) (FsckReport, error) {
 		}
 		path := filepath.Join(dir, name)
 		switch {
-		case name == JournalManifestName || name == StateName || name == SalvageName:
+		case name == JournalManifestName || name == SalvageName:
 			// Handled above (salvage just below).
-		case name == "manifest.json":
+		case name == MergedManifestName:
 			if !jsonParses(fsys, path) {
 				rep.corruptf("merged manifest %s does not parse", path)
 			}

@@ -153,31 +153,6 @@ func TestFsckOrphansAndTornArtifacts(t *testing.T) {
 	findReport(t, rep.Corruptions, "b.2.crash.json")
 }
 
-// TestFsckLegacyDir: a pre-journal dir verifies through
-// sweep-state.json; corrupt legacy state is corruption.
-func TestFsckLegacyDir(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Fsck(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() || rep.Journaled {
-		t.Fatalf("legacy dir report = %+v", rep)
-	}
-
-	if err := os.WriteFile(filepath.Join(dir, StateName), []byte(`{"units": [`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = Fsck(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findReport(t, rep.Corruptions, StateName)
-}
-
 // TestFsckMissingDir: an unreadable dir is the error return.
 func TestFsckMissingDir(t *testing.T) {
 	if _, err := Fsck(nil, filepath.Join(t.TempDir(), "nope")); err == nil {

@@ -166,14 +166,13 @@ type journalStore struct {
 
 // loadJournal opens dir's journal and returns the store plus the
 // recovered entries. With resume unset any previous state is ignored;
-// with it set, recovery replays manifest → snapshot → journal,
-// migrating a legacy sweep-state.json when no journal exists yet. The
-// store comes back dirty, owning no durable generation yet: the caller
-// makes its first one durable through the same retried persist path as
-// every transition. A lossy recovery writes salvage-report.json and
-// returns the report; a corrupt snapshot, manifest, or legacy state
-// file is an explicit error (resume must never silently invent a fresh
-// sweep over damaged state).
+// with it set, recovery replays manifest → snapshot → journal, and a
+// dir without a journal manifest is a fresh sweep. The store comes back
+// dirty, owning no durable generation yet: the caller makes its first
+// one durable through the same retried persist path as every
+// transition. A lossy recovery writes salvage-report.json and returns
+// the report; a corrupt snapshot or manifest is an explicit error
+// (resume must never silently invent a fresh sweep over damaged state).
 func loadJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalStore, []stateEntry, *SalvageReport, error) {
 	if log == nil {
 		log = io.Discard
@@ -201,12 +200,7 @@ func loadJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalS
 			}
 		}
 	case errors.Is(manErr, fs.ErrNotExist):
-		// No journal yet: migrate the legacy checkpoint if present.
-		legacy, err := readLegacyState(fsys, dir)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		base = legacy
+		// No journal yet: nothing to resume, a fresh sweep.
 	case manErr != nil:
 		return nil, nil, nil, fmt.Errorf("sweepd: reading %s: %w", manifestPath, manErr)
 	default:
@@ -278,29 +272,9 @@ func loadJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalS
 	return js, base, salvage, nil
 }
 
-// readLegacyState loads a pre-journal sweep-state.json for migration.
-// Corrupt JSON is an explicit error naming the file — the operator
-// chose -resume, so inventing a fresh sweep would silently discard what
-// they asked to keep.
-func readLegacyState(fsys vfs.FS, dir string) ([]stateEntry, error) {
-	path := filepath.Join(dir, StateName)
-	data, err := fsys.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweepd: reading sweep state: %w", err)
-	}
-	var doc stateFile
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("sweepd: sweep state %s is corrupt: %w", path, err)
-	}
-	return doc.Units, nil
-}
-
 // applyJournal folds journal records over the snapshot: last write per
 // unit wins, unknown units append (they are filtered against the live
-// grid at restore time, like legacy entries).
+// grid at restore time).
 func applyJournal(base []stateEntry, records []stateEntry) []stateEntry {
 	index := make(map[UnitID]int, len(base))
 	for i, e := range base {
@@ -423,9 +397,9 @@ func (js *journalStore) compact(entries []stateEntry) error {
 		return fmt.Errorf("sweepd: committing journal manifest: %w", err)
 	}
 
-	// The new generation is live. Retire the old one and any migrated
-	// legacy checkpoint; failures here cost only disk space (fsck flags
-	// leftovers as stale, recovery ignores them).
+	// The new generation is live. Retire the old one; failures here
+	// cost only disk space (fsck flags leftovers as stale, recovery
+	// ignores them).
 	if js.wal != nil {
 		js.wal.Close()
 	}
@@ -433,7 +407,6 @@ func (js *journalStore) compact(entries []stateEntry) error {
 		js.fsys.Remove(filepath.Join(js.dir, snapshotFileName(js.gen)))
 		js.fsys.Remove(filepath.Join(js.dir, journalFileName(js.gen)))
 	}
-	js.fsys.Remove(filepath.Join(js.dir, StateName))
 	js.fsys.SyncDir(js.dir)
 
 	js.gen = next

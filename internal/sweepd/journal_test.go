@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/vfs"
@@ -243,55 +242,17 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyMigration: a pre-journal sweep-state.json is folded
-// into generation 1 on resume and then retired.
-func TestJournalLegacyMigration(t *testing.T) {
+// TestJournalResumeWithoutManifestIsFresh: resuming a dir that holds no
+// journal manifest recovers nothing and opens a fresh sweep.
+func TestJournalResumeWithoutManifestIsFresh(t *testing.T) {
 	dir := t.TempDir()
-	doc := stateFile{Units: []stateEntry{testEntry("a", UnitDone), testEntry("b", UnitPending)}}
-	data, _ := json.Marshal(doc)
-	if err := os.WriteFile(filepath.Join(dir, StateName), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	js, recovered, salv, err := openJournalOS(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer js.Close()
-	if salv != nil {
-		t.Fatalf("clean migration produced salvage: %+v", salv)
-	}
-	got := entryStates(recovered)
-	if got["a"] != UnitDone || got["b"] != UnitPending {
-		t.Fatalf("migrated %v", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, StateName)); err == nil {
-		t.Fatalf("legacy %s not retired after migration", StateName)
-	}
-	if got := readManifestGen(t, dir); got == 0 {
-		t.Fatal("no journal manifest after migration")
-	}
-}
-
-// TestJournalCorruptLegacyExplicit: resume over a damaged legacy state
-// file errors by name instead of silently starting a fresh sweep.
-func TestJournalCorruptLegacyExplicit(t *testing.T) {
-	for name, content := range map[string]string{
-		"truncated": `{"units": [{"unit": {"id": "a"`,
-		"garbage":   "\x00\x01not json at all",
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, StateName), []byte(content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, _, _, err := openJournalOS(dir)
-			if err == nil {
-				t.Fatal("corrupt legacy state resumed silently")
-			}
-			if !strings.Contains(err.Error(), StateName) {
-				t.Fatalf("error does not name the damaged file: %v", err)
-			}
-		})
+	if len(recovered) != 0 || salv != nil {
+		t.Fatalf("empty dir recovered %d entries (salvage %+v)", len(recovered), salv)
 	}
 }
 

@@ -266,7 +266,10 @@ type FleetReport struct {
 
 // RunFleet drives an in-process fleet against the coordinator until the
 // sweep finishes, the coordinator drains, or ctx is cancelled. It is
-// the loopback mode behind `ufsim serve -loopback` and the chaos tests.
+// the loopback mode behind `ufsim -experiment`, `ufsim serve -loopback`
+// and the chaos tests. Once every unit is terminal it cancels the fleet
+// rather than wait for idle workers to wake from their poll backoff and
+// see Done.
 func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -282,6 +285,15 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 	if logw == nil {
 		logw = io.Discard
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		select {
+		case <-c.Done():
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
 
 	var (
 		mu       sync.Mutex

@@ -6,14 +6,8 @@ import (
 	"io"
 	"path/filepath"
 
-	"repro/internal/runner"
 	"repro/internal/vfs"
 )
-
-// StateName is the pre-journal sweep state: one document rewritten on
-// every transition. Nothing writes it any more; resume migrates it into
-// the journal (journal.go) and fsck still verifies it.
-const StateName = "sweep-state.json"
 
 // stateEntry is one unit's persisted book entry: a journal record, and
 // one element of a snapshot. Rendered results are not duplicated here —
@@ -29,8 +23,7 @@ type stateEntry struct {
 	Quarantine  string        `json:"quarantine,omitempty"`
 }
 
-// stateFile is the snapshot document (and the pre-journal state file's
-// format).
+// stateFile is the snapshot document.
 type stateFile struct {
 	Units []stateEntry `json:"units"`
 }
@@ -153,8 +146,10 @@ func (c *Coordinator) degradeLocked(reason string) {
 // applyEntriesLocked replays recovered entries over the unit table.
 // Only entries whose unit (ID, experiment, seed, quick) matches the
 // current grid apply — state from a different sweep configuration
-// cannot mask this sweep's work. Returns how many terminal outcomes
-// were restored.
+// cannot mask this sweep's work. A quarantined unit resumes as pending
+// with its failure history and spent budgets, so a resume gives it one
+// more run and its next failure quarantines it again. Returns how many
+// done outcomes were restored.
 func (c *Coordinator) applyEntriesLocked(entries []stateEntry) int {
 	restored := 0
 	for _, e := range entries {
@@ -166,20 +161,19 @@ func (c *Coordinator) applyEntriesLocked(entries []stateEntry) int {
 		r.failures = append(r.failures[:0], e.Failures...)
 		for _, f := range e.Failures {
 			r.distinct[f.Worker] = true
+			// Grant epochs above every recorded failure's: a fresh
+			// failure must never match an old (worker, epoch) record and
+			// be dropped as its redelivery.
+			r.epoch = max(r.epoch, f.Epoch)
 		}
 		r.completions = e.Completions
 		r.attempts = e.Attempts
 		r.durationMS = e.DurationMS
-		r.quarantine = e.Quarantine
-		switch e.State {
-		case UnitDone:
+		if e.State == UnitDone {
 			r.state = UnitDone
 			r.merged = true
 			restored++
-		case UnitQuarantined:
-			r.state = UnitQuarantined
-			restored++
-		default:
+		} else {
 			r.state = UnitPending
 		}
 	}
@@ -268,16 +262,20 @@ func (c *Coordinator) writeQuarantineLocked(r *unitRecord) {
 	}
 }
 
-// mergedEntry and mergedManifest mirror internal/runner's manifest JSON
-// shape, so a sweep merged by the coordinator can be resumed (or
-// audited) by single-process `ufsim -artifacts DIR -resume`.
+// MergedManifestName is the merged manifest's filename inside StateDir.
+const MergedManifestName = "manifest.json"
+
+// mergedEntry and mergedManifest are the merged manifest: one
+// human-readable verdict per unit (done, failed, or skipped), for
+// operators and CI artifact uploads. Resume reads the journal, never
+// this file.
 type mergedEntry struct {
-	Status     runner.Status `json:"status"`
-	Seed       uint64        `json:"seed"`
-	Attempts   int           `json:"attempts"`
-	DurationMS int64         `json:"duration_ms"`
-	Error      string        `json:"error,omitempty"`
-	Artifact   string        `json:"artifact,omitempty"`
+	Status     string `json:"status"`
+	Seed       uint64 `json:"seed"`
+	Attempts   int    `json:"attempts"`
+	DurationMS int64  `json:"duration_ms"`
+	Error      string `json:"error,omitempty"`
+	Artifact   string `json:"artifact,omitempty"`
 }
 
 type mergedManifest struct {
@@ -286,9 +284,9 @@ type mergedManifest struct {
 	Experiments map[string]mergedEntry `json:"experiments"`
 }
 
-// writeManifestLocked writes the merged manifest: every unit's terminal
-// outcome in the runner's manifest format. Called when the sweep
-// completes and again at drain, always atomically.
+// writeManifestLocked writes the merged manifest: every unit's
+// outcome. Called when the sweep completes and again at drain, always
+// atomically.
 func (c *Coordinator) writeManifestLocked() error {
 	if c.cfg.StateDir == "" || len(c.order) == 0 {
 		return nil
@@ -300,19 +298,17 @@ func (c *Coordinator) writeManifestLocked() error {
 		e := mergedEntry{Seed: r.unit.Seed, Attempts: r.attempts, DurationMS: r.durationMS}
 		switch r.state {
 		case UnitDone:
-			e.Status = runner.StatusDone
+			e.Status = "done"
 		case UnitQuarantined:
-			// A quarantined unit resumes as a failure: single-process
-			// `ufsim -resume` re-runs it, which is the right default
-			// for a unit the fleet could not finish.
-			e.Status = runner.StatusFailed
+			// A quarantined unit resumes as pending (applyEntriesLocked).
+			e.Status = "failed"
 			e.Error = "quarantined: " + r.quarantine
 			e.Artifact = QuarantinePath(c.cfg.StateDir, id)
 			if len(r.failures) > 0 {
 				e.Attempts = len(r.failures)
 			}
 		default:
-			e.Status = runner.StatusSkipped
+			e.Status = "skipped"
 			e.Error = "sweep drained before the unit ran"
 		}
 		doc.Experiments[string(id)] = e
@@ -321,7 +317,7 @@ func (c *Coordinator) writeManifestLocked() error {
 	if err != nil {
 		return err
 	}
-	return vfs.WriteFileAtomic(c.cfg.FS, filepath.Join(c.cfg.StateDir, runner.ManifestName), func(w io.Writer) error {
+	return vfs.WriteFileAtomic(c.cfg.FS, filepath.Join(c.cfg.StateDir, MergedManifestName), func(w io.Writer) error {
 		_, err := w.Write(append(data, '\n'))
 		return err
 	})

@@ -1,8 +1,9 @@
-// Package sweepd turns the single-process supervised runner
-// (internal/runner) into a distributed, crash-proof sweep service: a
-// coordinator shards a sweep (experiment × seed × config grid) into work
-// units and hands them to workers over a small HTTP/JSON protocol with
-// lease/heartbeat semantics. The design goal is the one every later
+// Package sweepd is the crash-proof sweep service behind every `ufsim`
+// sweep: a coordinator shards a sweep (experiment × seed × config grid)
+// into work units and hands them to workers — in-process (RunFleet) or
+// remote — over a small HTTP/JSON protocol with lease/heartbeat
+// semantics. What a unit runs is the caller's UnitRunner; `ufsim`
+// plugs in the supervised experiment runner (internal/runner). The design goal is the one every later
 // roadmap item leans on: a sweep whose trials are each merged exactly
 // once — never lost, never double-counted — while workers crash, hang,
 // partition, and restart under it.
@@ -319,9 +320,9 @@ func (c *ManualClock) Sleep(ctx context.Context, d time.Duration) error {
 }
 
 // ReplicaUnits flattens an experiment × replica grid into units. With
-// replicas <= 1 the unit IDs are the experiment IDs (so the merged
-// manifest interoperates with single-process `ufsim -resume`); with more
-// replicas each unit gets a derived seed and an ID like "fig3#2".
+// replicas <= 1 the unit IDs are the experiment IDs (so `ufsim
+// -experiment` and `ufsim serve` resume each other's journals); with
+// more replicas each unit gets a derived seed and an ID like "fig3#2".
 func ReplicaUnits(experiments []string, baseSeed uint64, quick bool, replicas int) []Unit {
 	if replicas < 1 {
 		replicas = 1

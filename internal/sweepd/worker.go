@@ -30,8 +30,8 @@ type UnitResult struct {
 // UnitRunner executes one unit. ctx cancellation must abort the run
 // promptly (the worker cancels on heartbeat-abandon, kill, and
 // shutdown); progress streams checkpoint notes that ride out on
-// heartbeats. ExperimentRunner adapts the supervised runner; tests plug
-// in trivial runners.
+// heartbeats. `ufsim` adapts the supervised experiment runner into
+// one; tests plug in trivial runners.
 type UnitRunner func(ctx context.Context, u Unit, progress func(note string)) UnitResult
 
 // ErrKilled is returned by Worker.Run when the worker's chaos kill

@@ -71,6 +71,46 @@ func TestWorkerRunsSweepLoopback(t *testing.T) {
 	}
 }
 
+// TestFleetReturnsWhenSweepDone: once the last unit merges, RunFleet
+// returns without waiting for an idle worker to wake from its poll
+// backoff. The manual clock never advances, so a fleet that waited out
+// the sleep would never return.
+func TestFleetReturnsWhenSweepDone(t *testing.T) {
+	clk := NewManualClock(time.Unix(0, 0))
+	c, err := NewCoordinator(CoordinatorConfig{Clock: clk}, testUnits(1))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	gate := NewGate(GateConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		RunFleet(ctx, c, FleetConfig{
+			Workers: 2, Jobs: 1, Clock: clk, Gate: gate, PollMax: time.Hour,
+			NewRunner: func(string) UnitRunner {
+				return func(ctx context.Context, u Unit, _ func(string)) UnitResult {
+					// Finish only after the other worker got its empty
+					// lease and went to sleep on the clock.
+					for gate.Stats().Endpoints[EndpointLease].Admitted < 2 && ctx.Err() == nil {
+						time.Sleep(time.Millisecond)
+					}
+					return UnitResult{OK: true, Result: "ok", Attempts: 1}
+				}
+			},
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunFleet still waiting on an idle worker after the sweep finished")
+	}
+	if st := c.Snapshot(); st.Done != 1 {
+		t.Fatalf("snapshot: %+v", st)
+	}
+}
+
 // TestWorkerDrainFinishesInFlight: Drain stops leasing but the in-flight
 // unit finishes and reports — the first-signal shutdown grade.
 func TestWorkerDrainFinishesInFlight(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/sim"
 	"repro/internal/timing"
-	"repro/internal/topo"
 )
 
 // Ctx is a workload's window into one quantum of execution on its core.
@@ -196,9 +195,6 @@ func (c *Ctx) InjectTraffic(slice int, accesses float64) int {
 	c.acc.Pressure += accesses * c.m.cfg.UFS.DistanceWeight(hops)
 	return hops
 }
-
-// SliceTile returns the coordinate of an LLC slice on this thread's die.
-func (c *Ctx) SliceTile(slice int) topo.Coord { return c.t.Sock.Die.SliceCoord(slice) }
 
 // HopsTo returns the mesh distance from this thread's core to a slice.
 func (c *Ctx) HopsTo(slice int) int {
