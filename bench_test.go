@@ -9,9 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/memsys"
-	"repro/internal/system"
-	"repro/internal/workload"
 )
 
 func benchOpts(i int) experiments.Options {
@@ -185,49 +182,6 @@ func BenchmarkSec61Countermeasures(b *testing.B) {
 			}
 		}
 		b.ReportMetric(restricted, "bit/s@restricted")
-	}
-}
-
-// benchBusyMachine builds a machine with a representative mixed load:
-// traffic threads, a stalling thread, and a measurement probe.
-func benchBusyMachine(b *testing.B) *system.Machine {
-	b.Helper()
-	m := system.New(system.DefaultConfig())
-	for c := 0; c < 6; c++ {
-		slice, ok := m.Socket(0).Die.SliceAtHops(c, 1)
-		if !ok {
-			slice, _ = m.Socket(0).Die.SliceAtHops(c, 0)
-		}
-		m.Spawn("bench-traffic", 0, c, 0, &workload.Traffic{Slice: slice})
-	}
-	slice, _ := m.Socket(0).Die.SliceAtHops(8, 0)
-	m.Spawn("bench-stall", 0, 8, 0, &workload.Stalling{Slice: slice})
-	lines, err := memsys.EvictionList(m.Socket(0).Hier, 0, memsys.NewAllocator(), 10, slice, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.Spawn("bench-probe", 0, 9, 0, &workload.Measure{Lines: lines, PerQuantum: 20})
-	return m
-}
-
-// BenchmarkMachineQuantum times the simulator's core loop: one busy
-// machine advancing a single quantum.
-func BenchmarkMachineQuantum(b *testing.B) {
-	m := benchBusyMachine(b)
-	q := m.Config().Quantum
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Run(q)
-	}
-}
-
-// BenchmarkMachineEpoch times one full governor epoch of the busy machine.
-func BenchmarkMachineEpoch(b *testing.B) {
-	m := benchBusyMachine(b)
-	e := m.Config().UFS.Epoch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Run(e)
 	}
 }
 

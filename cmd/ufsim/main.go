@@ -23,21 +23,16 @@
 //	-resume          reopen DIR's journal; only failed and unfinished
 //	                 experiments run
 //
-// A failed run leaves DIR/<id>.crash.json with the seed, options, error,
-// stack, log tail, and the exact replay command. Each report prints as
-// its experiment finishes. Ctrl-C drains the sweep (running experiments
-// finish), a second Ctrl-C aborts it; the summary still prints.
+// A failed run leaves DIR/<id>.<n>.crash.json (its nth failure) with the
+// seed, options, error, stack, log tail, and the exact replay command.
+// Each report prints as its experiment finishes. Ctrl-C drains the sweep
+// (running experiments finish), a second Ctrl-C aborts it; the summary
+// still prints.
 //
 // The reliability subcommand runs one faulted ARQ transfer and prints
 // its per-frame transcript:
 //
 //	ufsim reliability -intensity 0.75 -bytes 32
-//
-// The bench subcommand runs the performance-regression harness and
-// writes a normalized BENCH_<date>.json (see scripts/bench.sh):
-//
-//	ufsim bench                 full run, including quick experiment trials
-//	ufsim bench -short          hot-path cases only (the CI gate)
 //
 // The serve and worker subcommands distribute a sweep across machines
 // over a lease/heartbeat protocol (see DESIGN.md "Distributed sweep
@@ -55,11 +50,10 @@
 //
 //	ufsim fsck sweep-artifacts
 //
-// Profiling: -cpuprofile FILE on ufsim and ufsim bench writes a CPU
-// profile of the whole run for `go tool pprof` (off by default):
+// Profiling: -cpuprofile FILE writes a CPU profile of the whole run for
+// `go tool pprof` (off by default):
 //
 //	ufsim -experiment fig3 -quick -cpuprofile cpu.pprof
-//	ufsim bench -short -cpuprofile cpu.pprof
 //
 // Exit codes everywhere: 0 success, 1 completed with failures, 2 usage
 // error, 3 aborted by signal (SIGINT and SIGTERM are handled alike:
@@ -96,8 +90,6 @@ func main() {
 		case "reliability":
 			reliabilityCmd(os.Args[2:])
 			return
-		case "bench":
-			os.Exit(benchCmd(os.Args[2:]))
 		case "serve":
 			os.Exit(serveCmd(os.Args[2:]))
 		case "worker":
@@ -126,6 +118,12 @@ func run() int {
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// An unknown subcommand (or a stray argument) must not pass for
+		// a successful run.
+		fmt.Fprintf(os.Stderr, "ufsim: unknown subcommand or argument %q (subcommands: reliability, serve, worker, fsck)\n", flag.Arg(0))
+		return exitUsage
+	}
 
 	stopProfile, err := startCPUProfile(*cpuprof)
 	if err != nil {
@@ -166,6 +164,7 @@ func run() int {
 		seed:      *seed,
 		quick:     *quick,
 		jobs:      *jobs,
+		artifacts: *artifacts,
 		keepGoing: *keepGoing,
 		resume:    *resume,
 		out:       *out,
@@ -173,7 +172,6 @@ func run() int {
 			Timeout:        *timeout,
 			Retries:        *retries,
 			MaxEngineSteps: *maxSteps,
-			ArtifactDir:    *artifacts,
 			Log:            os.Stderr,
 		},
 		lookup: experiments.Get,

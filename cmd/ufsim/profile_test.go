@@ -45,3 +45,15 @@ func TestCPUProfileFlag(t *testing.T) {
 		t.Fatal("profile is empty")
 	}
 }
+
+// A removed or misspelled subcommand is a usage error, not a run that
+// prints the catalog and exits 0.
+func TestUnknownSubcommandIsUsageError(t *testing.T) {
+	args, flags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = args, flags }()
+	flag.CommandLine = flag.NewFlagSet("ufsim", flag.ExitOnError)
+	os.Args = []string{"ufsim", "bench", "-short"}
+	if code := run(); code != exitUsage {
+		t.Fatalf("ufsim bench -short exited %d, want %d", code, exitUsage)
+	}
+}

@@ -256,13 +256,15 @@ type experimentOptions struct {
 	seed  uint64
 	quick bool
 	jobs  int
+	// artifacts is the state dir (empty keeps the state in memory);
 	// keepGoing runs past failures; resume reopens the state in
-	// base.ArtifactDir; out, when set, receives <id>.txt reports.
+	// artifacts; out, when set, receives <id>.txt reports.
+	artifacts string
 	keepGoing bool
 	resume    bool
 	out       string
 	// base carries the supervision knobs (Timeout, Retries,
-	// MaxEngineSteps, ArtifactDir) for runner.RunOne.
+	// MaxEngineSteps) for runner.RunOne.
 	base runner.Config
 	// lookup resolves unit experiments (experiments.Get outside
 	// tests).
@@ -278,7 +280,7 @@ type experimentOptions struct {
 // memory without one.
 func experimentSweep(o experimentOptions) sweepSpec {
 	var fsys vfs.FS = vfs.OS{}
-	dir, resume := o.base.ArtifactDir, ""
+	dir, resume := o.artifacts, ""
 	if dir == "" {
 		fsys, dir = faults.NewDiskFS(o.seed), "sweep"
 	} else {
@@ -300,7 +302,7 @@ func experimentSweep(o experimentOptions) sweepSpec {
 		newRunner: func(c *sweepd.Coordinator) sweepd.UnitRunner {
 			return rep.wrap(c, experimentRunner(o.base, o.lookup))
 		},
-		artifacts: o.base.ArtifactDir,
+		artifacts: o.artifacts,
 		resume:    resume,
 		log:       o.stderr,
 	}
@@ -357,12 +359,11 @@ func writeReport(dir, id, report string) error {
 // artifacts. The returned runner recycles machines across its units
 // through one pool, so each worker keeps its own warm machines.
 //
-// base supplies the supervision knobs (Timeout, Retries, MaxEngineSteps,
-// ArtifactDir); the unit supplies Seed and Quick. When base.ArtifactDir
-// is set, a failed unit's crash artifact is read back and shipped to
-// the coordinator inside the completion, so the coordinator preserves
-// it per shard even though the worker's disk may be remote or
-// ephemeral.
+// base supplies the supervision knobs (Timeout, Retries,
+// MaxEngineSteps); the unit supplies Seed and Quick. A failed unit's
+// crash artifact ships to the coordinator inside the completion, and
+// the coordinator keeps it per failure as <id>.<n>.crash.json; the
+// worker writes nothing to its own disk.
 func experimentRunner(base runner.Config, lookup func(string) (experiments.Experiment, bool)) sweepd.UnitRunner {
 	pool := &system.Pool{} // thread-safe; shared across the worker's units
 	return func(ctx context.Context, u sweepd.Unit, progress func(string)) sweepd.UnitResult {
@@ -395,10 +396,9 @@ func experimentRunner(base runner.Config, lookup func(string) (experiments.Exper
 			} else {
 				res.Error = string(rep.Status)
 			}
-			if rep.Artifact != "" {
-				if data, err := os.ReadFile(rep.Artifact); err == nil && json.Valid(data) {
-					res.Artifact = data
-				}
+			if rep.Artifact != nil {
+				// Strings, numbers and a slice: marshalling cannot fail.
+				res.Artifact, _ = json.MarshalIndent(rep.Artifact, "", "  ")
 			}
 		}
 		return res

@@ -100,6 +100,23 @@ func readMergedManifest(t *testing.T, dir string) map[string]string {
 	return status
 }
 
+// crashPath is where the coordinator keeps a unit's first crash
+// artifact under dir.
+func crashPath(dir, id string) string {
+	return filepath.Join(dir, id+".1.crash.json")
+}
+
+// readArtifact loads a crash artifact.
+func readArtifact(path string) (runner.Artifact, error) {
+	var a runner.Artifact
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return a, err
+	}
+	err = json.Unmarshal(data, &a)
+	return a, err
+}
+
 // TestChaosSweep is the acceptance scenario: a sweep over healthy,
 // panicking, erroring, hanging, and spinning experiments completes all
 // healthy work, records one crash artifact per failure, honors per-run
@@ -116,12 +133,11 @@ func TestChaosSweep(t *testing.T) {
 		ChaosSpec{ID: "bad-spin", Mode: ChaosSpin},
 	)
 	o := s.options(99)
-	o.jobs, o.keepGoing, o.out = 4, true, out
+	o.jobs, o.keepGoing, o.out, o.artifacts = 4, true, out, dir
 	o.base = runner.Config{
 		Timeout:        300 * time.Millisecond,
 		Grace:          300 * time.Millisecond,
 		MaxEngineSteps: 50_000,
-		ArtifactDir:    dir,
 	}
 	if code := runSweep(context.Background(), experimentSweep(o)); code != exitFailures {
 		t.Fatalf("chaos sweep exited %d, want %d; stderr:\n%s", code, exitFailures, o.stderr)
@@ -141,7 +157,7 @@ func TestChaosSweep(t *testing.T) {
 		if err != nil || !strings.Contains(string(report), "512 ticks") {
 			t.Errorf("%s: -out report %q (%v)", id, report, err)
 		}
-		if _, err := os.Stat(runner.ArtifactPath(dir, id)); !os.IsNotExist(err) {
+		if _, err := os.Stat(crashPath(dir, id)); !os.IsNotExist(err) {
 			t.Errorf("healthy %s has a crash artifact", id)
 		}
 	}
@@ -156,8 +172,11 @@ func TestChaosSweep(t *testing.T) {
 
 	// One crash artifact per failure, carrying a usable replay line and
 	// the failure's classification.
+	if crashes, _ := filepath.Glob(filepath.Join(dir, "*.crash.json")); len(crashes) != len(failing) {
+		t.Errorf("crash artifacts %v, want one per failure", crashes)
+	}
 	for _, id := range failing {
-		a, err := runner.ReadArtifact(runner.ArtifactPath(dir, id))
+		a, err := readArtifact(crashPath(dir, id))
 		if err != nil {
 			t.Errorf("%s: reading artifact: %v", id, err)
 			continue
@@ -261,7 +280,7 @@ func TestResumeIgnoresMismatchedSeed(t *testing.T) {
 	dir := t.TempDir()
 	s := newChaosSuite(ChaosSpec{ID: "ok", Mode: ChaosHealthy})
 	o := s.options(1)
-	o.base.ArtifactDir = dir
+	o.artifacts = dir
 	if code := runSweep(context.Background(), experimentSweep(o)); code != exitOK {
 		t.Fatalf("first sweep exited %d", code)
 	}
@@ -271,5 +290,23 @@ func TestResumeIgnoresMismatchedSeed(t *testing.T) {
 	}
 	if n := s.counts["ok"].Load(); n != 2 {
 		t.Fatalf("mismatched-seed resume reused the recorded outcome (%d runs, want 2)", n)
+	}
+}
+
+// A worker without a local scratch dir still ships its crash artifact:
+// the coordinator's record must carry the replay line and the error.
+func TestRunnerShipsArtifactWithoutScratchDir(t *testing.T) {
+	s := newChaosSuite(ChaosSpec{ID: "boom", Mode: ChaosError})
+	run := experimentRunner(runner.Config{}, s.lookup)
+	res := run(context.Background(), sweepd.Unit{ID: "boom", Experiment: "boom", Seed: 5, Quick: true}, func(string) {})
+	if res.OK {
+		t.Fatal("the failing unit succeeded")
+	}
+	var a runner.Artifact
+	if err := json.Unmarshal(res.Artifact, &a); err != nil {
+		t.Fatalf("shipped artifact %q: %v", res.Artifact, err)
+	}
+	if a.Error == "" || a.Replay != "ufsim -experiment boom -seed 0x5 -quick" {
+		t.Errorf("shipped artifact lacks the error or the replay line: %+v", a)
 	}
 }

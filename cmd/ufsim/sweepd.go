@@ -100,7 +100,6 @@ func serveCmd(args []string) int {
 		Timeout:        *timeout,
 		Retries:        *retries,
 		MaxEngineSteps: *maxSteps,
-		ArtifactDir:    *artifacts,
 	}
 
 	return runSweep(context.Background(), sweepSpec{
@@ -161,7 +160,6 @@ func workerCmd(args []string) int {
 		timeout  = fs.Duration("timeout", 0, "wall-clock limit per unit attempt (0 = none)")
 		retries  = fs.Int("retries", 0, "supervised retries per unit (each reseeded)")
 		maxSteps = fs.Int64("max-steps", 0, "per-machine engine step budget (0 = none)")
-		scratch  = fs.String("artifacts", "", "local scratch dir for crash artifacts (shipped to the coordinator regardless)")
 
 		batch     = fs.Bool("batch", false, "deliver each lease round's completions as one batched request")
 		retryBase = fs.Duration("retry-base", 50*time.Millisecond, "first rung of the jittered transport retry backoff")
@@ -186,12 +184,6 @@ func workerCmd(args []string) int {
 		}
 		*id = fmt.Sprintf("%s.%d", host, os.Getpid())
 	}
-	if *scratch != "" {
-		if err := os.MkdirAll(*scratch, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "ufsim worker: %v\n", err)
-			return 1
-		}
-	}
 
 	w := sweepd.NewWorker(sweepd.WorkerConfig{
 		ID:     *id,
@@ -200,7 +192,6 @@ func workerCmd(args []string) int {
 			Timeout:        *timeout,
 			Retries:        *retries,
 			MaxEngineSteps: *maxSteps,
-			ArtifactDir:    *scratch,
 		}, experiments.Get),
 		Jobs:            *jobs,
 		RetryBase:       *retryBase,

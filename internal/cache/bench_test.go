@@ -1,8 +1,8 @@
 package cache_test
 
-// Zero-allocation benchmarks for the per-access hot path. These back the
-// regression gate in scripts/bench.sh: every benchmark here calls
-// b.ReportAllocs, and the tagged ones must report 0 allocs/op.
+// The per-access hot path. Each shape is a setup that returns one step:
+// BenchmarkX loops the step, and TestZeroAlloc checks that it does not
+// allocate.
 
 import (
 	"testing"
@@ -20,62 +20,59 @@ func benchLines(geom cache.Geometry, set, n int) []cache.Line {
 	return out
 }
 
-// BenchmarkSetAssocLookupHit times a hit in a warm set: the scan over the
-// set's tags plus the move to the front of its recency order. The lines
-// rotate, so every hit is on the least recently used way.
-func BenchmarkSetAssocLookupHit(b *testing.B) {
+// setAssocLookupHit is a hit in a warm set: the scan over the set's tags
+// plus the move to the front of its recency order. The lines rotate, so
+// every hit is on the least recently used way.
+func setAssocLookupHit(tb testing.TB) func() {
 	c := cache.NewSetAssoc(1024, 16)
 	lines := benchLines(cache.DefaultGeometry(1), 3, 16)
 	for _, l := range lines {
 		c.Insert(3, l)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		if !c.Lookup(3, lines[i%len(lines)]) {
-			b.Fatal("expected hit")
+			tb.Fatal("expected hit")
 		}
+		i++
 	}
 }
 
-// BenchmarkSetAssocInsertEvict times the miss path: inserting into a full
-// set, which forces an LRU victim pick and an eviction every call.
-func BenchmarkSetAssocInsertEvict(b *testing.B) {
+// setAssocInsertEvict is the miss path: inserting into a full set, which
+// forces an LRU victim pick and an eviction every call.
+func setAssocInsertEvict(tb testing.TB) func() {
 	c := cache.NewSetAssoc(1024, 16)
 	lines := benchLines(cache.DefaultGeometry(1), 3, 64)
 	for _, l := range lines[:16] {
 		c.Insert(3, l)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		if _, evicted := c.Insert(3, lines[i%len(lines)]); !evicted {
-			b.Fatal("expected eviction from a full set")
+			tb.Fatal("expected eviction from a full set")
 		}
+		i++
 	}
 }
 
-// BenchmarkHierarchyAccessL1Hit times the shortest access path: a line
-// resident in the L1.
-func BenchmarkHierarchyAccessL1Hit(b *testing.B) {
+// l1Hit is the shortest access path: a line resident in the L1.
+func l1Hit(tb testing.TB) func() {
 	h := cache.NewHierarchy(cache.DefaultGeometry(16))
 	cc := h.NewCore()
 	line := cache.Line(1 << 20)
 	cc.Access(0, line)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if res := cc.Access(0, line); res.Level != cache.LevelL1 {
-			b.Fatalf("expected L1 hit, got %v", res.Level)
+			tb.Fatalf("expected L1 hit, got %v", res.Level)
 		}
 	}
 }
 
-// BenchmarkHierarchyAccessLLCHit times the paper's eviction-list access
-// pattern (Listing 1): rotating over more same-L2-set lines than the L2
-// holds, so every access misses the private caches and hits the LLC —
-// the steady-state load of the sender and receiver loops.
-func BenchmarkHierarchyAccessLLCHit(b *testing.B) {
+// llcHit is the paper's eviction-list access pattern (Listing 1):
+// rotating over more same-L2-set lines than the L2 holds, so every
+// access misses the private caches and hits the LLC — the steady-state
+// load of the sender and receiver loops.
+func llcHit(testing.TB) func() {
 	geom := cache.DefaultGeometry(16)
 	h := cache.NewHierarchy(geom)
 	cc := h.NewCore()
@@ -86,25 +83,58 @@ func BenchmarkHierarchyAccessLLCHit(b *testing.B) {
 			cc.Access(0, l)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		cc.Access(0, lines[i%len(lines)])
+		i++
 	}
 }
 
-// BenchmarkHierarchyFlush times the clflush path of Flush+Reload: access
-// a cached line, then invalidate it in every cache of the socket.
-func BenchmarkHierarchyFlush(b *testing.B) {
+// flush is the clflush path of Flush+Reload: access a cached line, then
+// invalidate it in every cache of the socket.
+func flush(tb testing.TB) func() {
 	h := cache.NewHierarchy(cache.DefaultGeometry(16))
 	cc := h.NewCore()
 	line := cache.Line(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		cc.Access(0, line)
 		if !h.Flush(line) {
-			b.Fatal("expected the line to be present")
+			tb.Fatal("expected the line to be present")
 		}
 	}
 }
+
+func TestZeroAlloc(t *testing.T) {
+	for _, s := range []struct {
+		name  string
+		setup func(testing.TB) func()
+	}{
+		{"setassoc-lookup-hit", setAssocLookupHit},
+		{"setassoc-insert-evict", setAssocInsertEvict},
+		{"l1-hit", l1Hit},
+		{"llc-hit", llcHit},
+		{"flush", flush},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			if a := testing.AllocsPerRun(100, s.setup(t)); a != 0 {
+				t.Errorf("%s allocates %v times per step, want 0", s.name, a)
+			}
+		})
+	}
+}
+
+// loop times setup's step.
+func loop(b *testing.B, setup func(testing.TB) func()) {
+	step := setup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+func BenchmarkSetAssocLookupHit(b *testing.B)     { loop(b, setAssocLookupHit) }
+func BenchmarkSetAssocInsertEvict(b *testing.B)   { loop(b, setAssocInsertEvict) }
+func BenchmarkHierarchyAccessL1Hit(b *testing.B)  { loop(b, l1Hit) }
+func BenchmarkHierarchyAccessLLCHit(b *testing.B) { loop(b, llcHit) }
+func BenchmarkHierarchyFlush(b *testing.B)        { loop(b, flush) }

@@ -389,20 +389,3 @@ func TestDeferredTrafficMatchesEager(t *testing.T) {
 		}
 	}
 }
-
-// TestDeferredTrafficAllocs pins the unread quantum to zero allocations:
-// 1,000 AddTraffic calls, more than the pending buffer holds, then the
-// next BeginQuantum.
-func TestDeferredTrafficAllocs(t *testing.T) {
-	m := newMesh(KindMesh)
-	die := topo.XeonGold6142Socket0
-	allocs := testing.AllocsPerRun(20, func() {
-		for i := 0; i < 1000; i++ {
-			m.AddTraffic(cache.Domain(i%3), die.CoreCoord(i%die.NumCores()), die.SliceCoord(i%die.NumSlices()), 1)
-		}
-		m.BeginQuantum(200*sim.Microsecond, 24)
-	})
-	if allocs != 0 {
-		t.Fatalf("an unread quantum allocates %v times", allocs)
-	}
-}

@@ -1,23 +1,20 @@
 package runner
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/vfs"
 )
 
-// Artifact is the crash record written when an experiment exhausts its
-// attempts. Its contents are deterministic functions of the run — IDs,
-// seeds, options, the error chain, the recovered stack, and the
-// truncated run log — so two identical failures produce comparable
-// artifacts, and the Replay line reproduces the exact failing run.
+// Artifact is the crash record of an experiment that exhausted its
+// attempts; the sweep worker ships it to the coordinator, which keeps it
+// as <id>.<n>.crash.json. Its contents are deterministic functions of
+// the run — IDs, seeds, options, the error chain, the recovered stack,
+// and the truncated run log — so two identical failures produce
+// comparable artifacts, and the Replay line reproduces the exact failing
+// run.
 type Artifact struct {
 	Experiment string `json:"experiment"`
 	Title      string `json:"title"`
@@ -44,8 +41,8 @@ type Artifact struct {
 }
 
 // crashArtifact assembles the artifact for a failed report.
-func crashArtifact(cfg Config, e experiments.Experiment, seeds []uint64, rep Report, log string) Artifact {
-	a := Artifact{
+func crashArtifact(cfg Config, e experiments.Experiment, seeds []uint64, rep Report, log string) *Artifact {
+	a := &Artifact{
 		Experiment:   e.ID,
 		Title:        e.Title,
 		Seed:         cfg.Seed,
@@ -76,36 +73,4 @@ func replayCommand(id string, seed uint64, quick bool) string {
 		b.WriteString(" -quick")
 	}
 	return b.String()
-}
-
-// ArtifactPath returns where the crash artifact for id lives under dir.
-func ArtifactPath(dir, id string) string {
-	return filepath.Join(dir, id+".crash.json")
-}
-
-// writeCrashArtifact atomically persists a and returns its path.
-func writeCrashArtifact(fsys vfs.FS, dir string, a Artifact) (string, error) {
-	path := ArtifactPath(dir, a.Experiment)
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := vfs.WriteFileAtomic(fsys, path, func(w io.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
-	}); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// ReadArtifact loads a crash artifact, for tests and tooling.
-func ReadArtifact(path string) (Artifact, error) {
-	var a Artifact
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return a, err
-	}
-	err = json.Unmarshal(data, &a)
-	return a, err
 }

@@ -12,8 +12,8 @@
 //   - Bounded retry with reseeding: a failed run is retried up to
 //     Retries times, each attempt reseeded by a configurable policy, so
 //     seed-sensitive failures are absorbed without hiding real bugs.
-//   - Crash artifacts: the final failure of an experiment writes a
-//     deterministic JSON artifact (ID, seeds, options, error, stack,
+//   - Crash artifacts: the final failure of an experiment carries a
+//     deterministic artifact (ID, seeds, options, error, stack,
 //     truncated run log, replay command) sufficient to reproduce the
 //     exact run.
 //
@@ -34,7 +34,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/system"
-	"repro/internal/vfs"
 )
 
 // Status classifies one experiment's outcome.
@@ -43,8 +42,8 @@ type Status string
 const (
 	// StatusDone means the experiment completed and rendered a result.
 	StatusDone Status = "done"
-	// StatusFailed means every attempt failed; a crash artifact exists
-	// if an artifact directory was configured.
+	// StatusFailed means every attempt failed; the report carries a
+	// crash artifact.
 	StatusFailed Status = "failed"
 	// StatusSkipped means the caller's context was cancelled before
 	// the experiment ran to completion.
@@ -73,14 +72,6 @@ type Config struct {
 	// leaves runaway engines to the Timeout.
 	MaxEngineSteps int64
 
-	// ArtifactDir, when non-empty, receives crash artifacts. Empty
-	// disables them.
-	ArtifactDir string
-	// FS is the filesystem all ArtifactDir persistence goes through;
-	// nil means the real one (vfs.OS). Tests and chaos runs inject the
-	// fault-driven filesystems from internal/faults here.
-	FS vfs.FS
-
 	// Log receives the runner's progress lines; nil discards them.
 	Log io.Writer
 	// Progress, when non-nil, additionally receives each run's log
@@ -88,14 +79,6 @@ type Config struct {
 	// distributed worker (internal/sweepd) streams them to the
 	// coordinator as heartbeat notes.
 	Progress io.Writer
-}
-
-// fsys resolves the configured filesystem, defaulting to the real one.
-func (cfg Config) fsys() vfs.FS {
-	if cfg.FS != nil {
-		return cfg.FS
-	}
-	return vfs.OS{}
 }
 
 // DefaultReseed is the retry reseeding policy: attempt 0 keeps the base
@@ -125,8 +108,8 @@ type Report struct {
 	Result experiments.Result
 	// Duration is the wall-clock time across all attempts.
 	Duration time.Duration
-	// Artifact is the crash-artifact path for failed reports.
-	Artifact string
+	// Artifact is the crash record of a failed report; nil otherwise.
+	Artifact *Artifact
 	// Abandoned marks a run whose goroutine ignored its context past
 	// the grace window and was left behind (a leaked goroutine).
 	Abandoned bool
@@ -207,14 +190,7 @@ func supervise(ctx context.Context, cfg Config, e experiments.Experiment, logw i
 		return rep
 	}
 	rep.Status = StatusFailed
-	if cfg.ArtifactDir != "" {
-		path, werr := writeCrashArtifact(cfg.fsys(), cfg.ArtifactDir, crashArtifact(cfg, e, seeds, rep, rlog.String()))
-		if werr != nil {
-			fmt.Fprintf(logw, "warning: %s: crash artifact not written: %v\n", e.ID, werr)
-		} else {
-			rep.Artifact = path
-		}
-	}
+	rep.Artifact = crashArtifact(cfg, e, seeds, rep, rlog.String())
 	return rep
 }
 

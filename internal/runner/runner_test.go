@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -48,14 +47,13 @@ func TestDeadlineHonoredInEngineHotLoop(t *testing.T) {
 
 func TestRetryReseedsFlaky(t *testing.T) {
 	const seed = 77
-	dir := t.TempDir()
 	flaky := fixture("flaky", func(o experiments.Options) (experiments.Result, error) {
 		if o.Seed == seed {
 			return nil, fmt.Errorf("flaky failure on base seed %#x", o.Seed)
 		}
 		return nil, nil
 	})
-	rep := RunOne(context.Background(), Config{Seed: seed, Retries: 2, ArtifactDir: dir}, flaky, nil)
+	rep := RunOne(context.Background(), Config{Seed: seed, Retries: 2}, flaky, nil)
 	if rep.Status != StatusDone || rep.Attempts != 2 {
 		t.Fatalf("flaky report = %s after %d attempts, want done after 2", rep.Status, rep.Attempts)
 	}
@@ -63,23 +61,22 @@ func TestRetryReseedsFlaky(t *testing.T) {
 		t.Error("successful attempt still used the base seed; reseed policy did not apply")
 	}
 	// No artifact for an eventually-successful experiment.
-	if _, err := os.Stat(ArtifactPath(dir, "flaky")); !os.IsNotExist(err) {
-		t.Error("flaky success left a crash artifact")
+	if rep.Artifact != nil {
+		t.Error("flaky success carries a crash artifact")
 	}
 }
 
 func TestRetriesExhaustArtifactListsSeeds(t *testing.T) {
-	dir := t.TempDir()
 	always := fixture("always", func(o experiments.Options) (experiments.Result, error) {
 		return nil, fmt.Errorf("injected failure (seed %#x)", o.Seed)
 	})
-	rep := RunOne(context.Background(), Config{Seed: 5, Retries: 2, ArtifactDir: dir}, always, nil)
+	rep := RunOne(context.Background(), Config{Seed: 5, Retries: 2}, always, nil)
 	if rep.Status != StatusFailed || rep.Attempts != 3 {
 		t.Fatalf("report = %s after %d attempts, want failed after 3", rep.Status, rep.Attempts)
 	}
-	a, err := ReadArtifact(rep.Artifact)
-	if err != nil {
-		t.Fatalf("artifact: %v", err)
+	a := rep.Artifact
+	if a == nil {
+		t.Fatal("failed report carries no crash artifact")
 	}
 	if len(a.AttemptSeeds) != 3 || a.AttemptSeeds[0] != 5 {
 		t.Errorf("artifact attempt seeds = %v, want 3 starting at the base seed", a.AttemptSeeds)
@@ -93,18 +90,17 @@ func TestRetriesExhaustArtifactListsSeeds(t *testing.T) {
 }
 
 func TestHardHangIsAbandonedAndRecorded(t *testing.T) {
-	dir := t.TempDir()
 	deadlock := fixture("deadlock", func(experiments.Options) (experiments.Result, error) {
 		select {} // ignores its context; the supervisor must abandon it
 	})
-	cfg := Config{Timeout: 100 * time.Millisecond, Grace: 100 * time.Millisecond, ArtifactDir: dir, Seed: 8}
+	cfg := Config{Timeout: 100 * time.Millisecond, Grace: 100 * time.Millisecond, Seed: 8}
 	rep := RunOne(context.Background(), cfg, deadlock, nil)
 	if rep.Status != StatusFailed || !errors.Is(rep.Err, ErrAbandoned) || !rep.Abandoned {
 		t.Fatalf("deadlock report = %s / %v (abandoned=%v), want abandoned failure", rep.Status, rep.Err, rep.Abandoned)
 	}
-	a, err := ReadArtifact(rep.Artifact)
-	if err != nil {
-		t.Fatalf("artifact: %v", err)
+	a := rep.Artifact
+	if a == nil {
+		t.Fatal("failed report carries no crash artifact")
 	}
 	if !a.Abandoned {
 		t.Error("artifact does not record the abandonment")

@@ -333,22 +333,3 @@ func TestSteadyQuantaStepOncePerInput(t *testing.T) {
 		t.Errorf("stationary traffic stepped %d times in %d epochs, want at most one per epoch", steady.steps, epochs)
 	}
 }
-
-// Replayed and stepped quanta both allocate nothing.
-func TestSteadyQuantaZeroAlloc(t *testing.T) {
-	for _, ref := range []bool{false, true} {
-		r := &steadyRun{m: system.New(system.DefaultConfig()), ref: ref}
-		for c := 0; c < 6; c++ {
-			slice, _ := r.m.Socket(0).Die.SliceAtHops(c, 1)
-			r.spawn("traffic", 0, c, &workload.Traffic{Slice: slice})
-		}
-		slice, _ := r.m.Socket(0).Die.SliceAtHops(8, 0)
-		r.spawn("stall", 0, 8, &workload.Stalling{Slice: slice})
-		r.spawn("nop", 0, 9, workload.Nop{})
-		r.m.Run(20 * sim.Millisecond)
-		q := r.m.Config().Quantum
-		if a := testing.AllocsPerRun(200, func() { r.m.Run(q) }); a != 0 {
-			t.Errorf("stepped=%v: a quantum allocates %v times, want 0", ref, a)
-		}
-	}
-}
