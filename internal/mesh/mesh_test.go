@@ -241,10 +241,11 @@ func sameBits(x, y []float64) bool {
 	return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
 }
 
-// eagerMesh is the reference for deferred accounting: AddTraffic,
-// BeginQuantum and Reset as they were when every call loaded the rows at
-// once. It never buffers, so the embedded Mesh's readers see only applied
-// load.
+// eagerMesh is the reference for deferred accounting and for Transact:
+// AddTraffic, BeginQuantum and Reset as they were when every call loaded
+// the rows at once, and Transact as ContentionCycles followed by
+// AddTraffic(…, 1). It never buffers, so the embedded Mesh's readers see
+// only applied load.
 type eagerMesh struct{ *Mesh }
 
 func (e eagerMesh) AddTraffic(d cache.Domain, src, dst topo.Coord, accesses float64) {
@@ -268,12 +269,12 @@ func (e eagerMesh) AddTraffic(d cache.Domain, src, dst topo.Coord, accesses floa
 	}
 }
 
+// Transact is the pair of calls Mesh.Transact must equal: the contention
+// the transaction meets, then its traffic as one access.
 func (e eagerMesh) Transact(d cache.Domain, src, dst topo.Coord) float64 {
-	if src != dst && (!e.inGrid(src) || !e.inGrid(dst)) {
-		e.AddTraffic(d, src, dst, 1)
-		return 0
-	}
-	return e.Mesh.Transact(d, src, dst)
+	extra := e.ContentionCycles(d, src, dst)
+	e.AddTraffic(d, src, dst, 1)
+	return extra
 }
 
 func (e eagerMesh) BeginQuantum(quantum sim.Time, fUncore sim.Freq) {

@@ -69,10 +69,10 @@ func idleEpoch(skip bool) func(testing.TB) func() {
 // steadyQuantum is one quantum of stationary loads (traffic, a stalling
 // thread, an idle core) after 20 ms of warm-up: replayed from the
 // thread's recorded quantum, or with stepped set, stepped every quantum
-// as the reference runs of steady_test.go are.
+// as the reference runs of equiv_test.go are.
 func steadyQuantum(stepped bool) func(testing.TB) func() {
 	return func(testing.TB) func() {
-		r := &steadyRun{m: system.New(system.DefaultConfig()), ref: stepped}
+		r := &equivRun{m: system.New(system.DefaultConfig()), ref: stepped}
 		for c := 0; c < 6; c++ {
 			slice, _ := r.m.Socket(0).Die.SliceAtHops(c, 1)
 			r.spawn("traffic", 0, c, &workload.Traffic{Slice: slice})
