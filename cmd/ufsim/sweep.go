@@ -201,10 +201,19 @@ func finishSweep(c *sweepd.Coordinator, s sweepSpec, signalled bool) int {
 		fmt.Fprintf(s.log, "%s: writing manifest: %v\n", s.name, err)
 	}
 	// Final status snapshot (unit states plus shed/queue/breaker
-	// counters) — what CI uploads.
+	// counters) — what CI uploads. It lives in the state dir, so it goes
+	// through the state FS like every other file there.
 	if s.artifacts != "" {
 		if data, err := c.StatusJSON(); err == nil {
-			if werr := os.WriteFile(filepath.Join(s.artifacts, "status-final.json"), append(data, '\n'), 0o644); werr != nil {
+			fsys := s.coord.FS
+			if fsys == nil {
+				fsys = vfs.OS{}
+			}
+			werr := vfs.WriteFileAtomic(fsys, filepath.Join(s.artifacts, "status-final.json"), func(w io.Writer) error {
+				_, err := w.Write(append(data, '\n'))
+				return err
+			})
+			if werr != nil {
 				fmt.Fprintf(s.log, "%s: writing final status: %v\n", s.name, werr)
 			}
 		}

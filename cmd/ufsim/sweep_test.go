@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/sweepd"
@@ -308,5 +309,26 @@ func TestRunnerShipsArtifactWithoutScratchDir(t *testing.T) {
 	}
 	if a.Error == "" || a.Replay != "ufsim -experiment boom -seed 0x5 -quick" {
 		t.Errorf("shipped artifact lacks the error or the replay line: %+v", a)
+	}
+}
+
+// TestFinalStatusOnStateFS: status-final.json goes through the sweep's
+// state filesystem like every other state-dir file, not around it.
+func TestFinalStatusOnStateFS(t *testing.T) {
+	s := newChaosSuite(ChaosSpec{ID: "ok", Mode: ChaosHealthy})
+	o := s.options(1)
+	o.artifacts = filepath.Join(t.TempDir(), "state")
+	spec := experimentSweep(o)
+	mem := faults.NewDiskFS(1)
+	spec.coord.FS = mem
+	if code := runSweep(context.Background(), spec); code != exitOK {
+		t.Fatalf("sweep exited %d; stderr:\n%s", code, o.stderr)
+	}
+	data, err := mem.ReadFile(filepath.Join(o.artifacts, "status-final.json"))
+	if err != nil || !strings.Contains(string(data), `"done": 1`) {
+		t.Fatalf("status-final.json on the state FS: %q, %v", data, err)
+	}
+	if _, err := os.Stat(o.artifacts); !os.IsNotExist(err) {
+		t.Fatalf("the sweep wrote around its state FS onto the real disk (stat: %v)", err)
 	}
 }

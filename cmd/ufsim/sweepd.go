@@ -53,7 +53,7 @@ func serveCmd(args []string) int {
 		chaosNet      = fs.Float64("chaos-net", 0, "network-fault intensity in [0,1] for the loopback transport (testing)")
 		chaosDisk     = fs.Float64("chaos-disk", 0, "disk-fault intensity in [0,1] injected into all state-dir I/O (testing)")
 		chaosOverload = fs.Float64("chaos-overload", 0, "overload intensity in [0,1]: latency ramps and slow-loris trickles on the loopback transport (testing)")
-		chaosSeed     = fs.Uint64("chaos-seed", 0xC0FFEE, "seed for the network/disk/overload fault plans")
+		chaosSeed     = fs.Uint64("chaos-seed", 0xC0FFEE, "seed for the network and disk fault plans")
 
 		inflight  = fs.Int("inflight", 0, "admission cap: concurrent requests per endpoint (0 = 64)")
 		queueLen  = fs.Int("queue", 0, "admission queue: waiting requests per endpoint before shedding (0 = 4x inflight)")
@@ -89,12 +89,8 @@ func serveCmd(args []string) int {
 		stateFS = disk
 	}
 	var plan *faults.NetPlan
-	if *chaosNet > 0 {
-		plan = faults.NewNetPlan(faults.DefaultNetConfig(*chaosNet), *chaosSeed)
-	}
-	var overload *faults.OverloadPlan
-	if *chaosOverload > 0 {
-		overload = faults.NewOverloadPlan(faults.DefaultOverloadConfig(*chaosOverload), *chaosSeed)
+	if *chaosNet > 0 || *chaosOverload > 0 {
+		plan = faults.NewNetPlan(faults.DefaultNetConfig(*chaosNet, *chaosOverload), *chaosSeed)
 	}
 	base := runner.Config{
 		Timeout:        *timeout,
@@ -121,10 +117,8 @@ func serveCmd(args []string) int {
 			Workers:        *loopback,
 			Jobs:           *jobs,
 			Plan:           plan,
-			Overload:       overload,
 			HerdStart:      *herd,
 			BatchCompletes: *batch,
-			Respawn:        plan != nil,
 			Log:            os.Stderr,
 		},
 		newRunner: func(*sweepd.Coordinator) sweepd.UnitRunner { return experimentRunner(base, experiments.Get) },
@@ -132,10 +126,7 @@ func serveCmd(args []string) int {
 		drainFor:  *drainFor,
 		stats: func(rep sweepd.FleetReport, gate *sweepd.Gate) {
 			if plan != nil {
-				fmt.Fprintf(os.Stderr, "ufsim serve: chaos stats: %+v (fleet %+v)\n", plan.Stats(), rep)
-			}
-			if overload != nil {
-				fmt.Fprintf(os.Stderr, "ufsim serve: overload stats: %+v (gate %+v)\n", overload.Stats(), gate.Stats())
+				fmt.Fprintf(os.Stderr, "ufsim serve: chaos stats: %+v (fleet %+v, gate %+v)\n", plan.Stats(), rep, gate.Stats())
 			}
 			if disk != nil {
 				fmt.Fprintf(os.Stderr, "ufsim serve: disk chaos stats: %+v\n", disk.Stats())

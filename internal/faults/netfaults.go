@@ -11,17 +11,22 @@ import (
 // Network faults: where the rest of this package perturbs the simulated
 // platform, NetPlan misbehaves at the *distribution* boundary — the coordinator/worker
 // protocol of internal/sweepd. It issues deterministic per-call
-// verdicts (drop the request, drop the response, duplicate, delay),
-// opens partition windows during which a worker's every call fails, and
-// schedules mid-trial worker kills. The plan is pure decision logic: it
-// never touches sockets; sweepd applies it as an http.RoundTripper
-// under the workers' HTTP client in in-process fleets.
+// verdicts: lose the call (drop the request, drop the response, or a
+// partition window during which a worker's every call fails), repeat
+// it, delay it, or stall it in the shapes that melt control planes — a
+// sawtooth latency ramp (load waves cresting and breaking) and an
+// occasional slow-loris trickle (a call that holds its admission slot
+// for an eternity). It also schedules mid-trial worker kills. The plan
+// is pure decision logic: it never touches sockets; sweepd applies it
+// as an http.RoundTripper under the workers' HTTP client in in-process
+// fleets.
 //
-// Determinism: each worker gets its own sim.Rand stream split from the
-// plan seed by a stable hash of the worker ID. A worker's verdict
-// sequence depends only on (seed, worker ID, call index) — not on
-// scheduling — so a chaos run's fault pattern is reproducible even
-// though goroutine interleaving is not.
+// Determinism: each worker draws its whole verdict from its own
+// sim.Rand stream split from the plan seed by a stable hash of the
+// worker ID. A worker's verdict sequence depends only on (seed, worker
+// ID, call index) and the clock readings — not on scheduling — so a
+// chaos run's fault pattern is reproducible even though goroutine
+// interleaving is not.
 
 // NetVerdict is the fate of one protocol call.
 type NetVerdict struct {
@@ -34,21 +39,18 @@ type NetVerdict struct {
 	DropResponse bool
 	// Duplicate delivers the call twice back to back.
 	Duplicate bool
-	// Delay stalls the call before delivery.
+	// Delay holds the call before delivery, outside admission.
 	Delay time.Duration
+	// Stall holds the delivered call inside admission: it is served at
+	// the request body's first read, which the coordinator performs
+	// only once its gate has granted a slot.
+	Stall time.Duration
 }
 
-// Failed reports whether the caller observes this verdict as an error.
-func (v NetVerdict) Failed() bool { return v.DropRequest || v.DropResponse }
-
 // NetConfig describes one network-fault mix. The zero value injects
-// nothing; DefaultNetConfig scales a representative mix by one
-// intensity knob.
+// nothing; DefaultNetConfig scales a representative mix by two
+// intensity knobs.
 type NetConfig struct {
-	// Intensity records the master knob the config was scaled from
-	// (diagnostics only; the individual fields are what act).
-	Intensity float64
-
 	// DropRequestProb and DropResponseProb are per-call loss
 	// probabilities; DuplicateProb re-delivers a call twice.
 	DropRequestProb  float64
@@ -69,36 +71,51 @@ type NetConfig struct {
 	// KillEveryUnits schedules mid-trial worker kills: a worker is
 	// marked to die while running roughly every nth unit it starts
 	// (per-worker deterministic draw in [n/2, 3n/2)). Zero disables
-	// kills. The transport cannot kill a process; the sweepd worker
-	// honors the schedule by dying without completing or releasing —
-	// exactly the crash shape lease expiry exists to absorb.
+	// kills. sweepd's fleet honors the schedule as a process crash: the
+	// worker's transport goes dead and its context is cancelled, so it
+	// completes and releases nothing — exactly the crash shape lease
+	// expiry exists to absorb.
 	KillEveryUnits int
+
+	// RampPeriod is the sawtooth period of the stall ramp: the stall
+	// climbs from 0 to RampMax across each period, then snaps back — a
+	// load wave. Zero disables the ramp.
+	RampPeriod time.Duration
+	RampMax    time.Duration
+
+	// TrickleProb is the per-call chance of a slow-loris stall: the call
+	// proceeds, but only after holding its admission slot for
+	// TrickleFor — an order of magnitude past normal service time.
+	TrickleProb float64
+	TrickleFor  time.Duration
 }
 
-// DefaultNetConfig scales a representative fault mix by intensity in
-// [0, 1]: at 0 nothing is injected; at 1 roughly a third of calls
-// misbehave and workers die every few units.
-func DefaultNetConfig(intensity float64) NetConfig {
-	if intensity < 0 {
-		intensity = 0
-	}
-	if intensity > 1 {
-		intensity = 1
-	}
+// DefaultNetConfig scales two representative fault families by their
+// intensities in [0, 1]. At net 1 roughly a third of calls are lost,
+// repeated or delayed and workers die every few units; at overload 1
+// the stall ramp crests at 25ms every 800ms and ~3% of calls trickle
+// for 150ms. At 0 a family injects nothing.
+func DefaultNetConfig(net, overload float64) NetConfig {
+	net, overload = min(max(net, 0), 1), min(max(overload, 0), 1)
 	cfg := NetConfig{
-		Intensity:        intensity,
-		DropRequestProb:  0.08 * intensity,
-		DropResponseProb: 0.08 * intensity,
-		DuplicateProb:    0.10 * intensity,
-		DelayProb:        0.15 * intensity,
+		DropRequestProb:  0.08 * net,
+		DropResponseProb: 0.08 * net,
+		DuplicateProb:    0.10 * net,
+		DelayProb:        0.15 * net,
 		DelayMax:         20 * time.Millisecond,
-		PartitionProb:    0.01 * intensity,
+		PartitionProb:    0.01 * net,
 		PartitionFor:     150 * time.Millisecond,
 	}
-	if intensity > 0 {
+	if net > 0 {
 		// 1/intensity keeps kills rare at low intensity without a
 		// cliff at zero.
-		cfg.KillEveryUnits = int(6.0/intensity + 0.5)
+		cfg.KillEveryUnits = int(6.0/net + 0.5)
+	}
+	if overload > 0 {
+		cfg.RampPeriod = 800 * time.Millisecond
+		cfg.RampMax = time.Duration(25 * float64(time.Millisecond) * overload)
+		cfg.TrickleProb = 0.03 * overload
+		cfg.TrickleFor = 150 * time.Millisecond
 	}
 	return cfg
 }
@@ -107,6 +124,9 @@ func DefaultNetConfig(intensity float64) NetConfig {
 type NetStats struct {
 	Calls, DroppedRequests, DroppedResponses, Duplicates, Delayed int
 	Partitions, PartitionedCalls                                  int
+	Ramped, Trickled                                              int
+	// TotalStall is the summed Stall of every verdict issued.
+	TotalStall time.Duration
 }
 
 // NetPlan issues deterministic verdicts for one sweep's protocol
@@ -119,7 +139,10 @@ type NetPlan struct {
 	streams map[string]*sim.Rand
 	// partitionedUntil holds each worker's open partition window.
 	partitionedUntil map[string]time.Time
-	stats            NetStats
+	// epoch anchors the ramp phase at the first observed call, so the
+	// sawtooth is aligned to the run, not to wall-clock zero.
+	epoch time.Time
+	stats NetStats
 }
 
 // NewNetPlan builds a plan over cfg, deterministic in seed.
@@ -131,9 +154,6 @@ func NewNetPlan(cfg NetConfig, seed uint64) *NetPlan {
 		partitionedUntil: map[string]time.Time{},
 	}
 }
-
-// Config returns the plan's fault mix.
-func (p *NetPlan) Config() NetConfig { return p.cfg }
 
 // stream returns worker's private rand, split from the plan seed by a
 // stable hash of the ID (lock held).
@@ -185,7 +205,34 @@ func (p *NetPlan) Next(worker string, now time.Time) NetVerdict {
 		v.Duplicate = true
 		p.stats.Duplicates++
 	}
+	if !v.DropRequest {
+		v.Stall = p.stallLocked(rng, now)
+	}
 	return v
+}
+
+// stallLocked draws a delivered call's stall: the ramp's current height
+// jittered per call, plus a trickle when the slow-loris draw fires.
+func (p *NetPlan) stallLocked(rng *sim.Rand, now time.Time) time.Duration {
+	var stall time.Duration
+	if p.cfg.RampPeriod > 0 && p.cfg.RampMax > 0 {
+		if p.epoch.IsZero() {
+			p.epoch = now
+		}
+		phase := float64(now.Sub(p.epoch)%p.cfg.RampPeriod) / float64(p.cfg.RampPeriod)
+		// Jitter the crest per call so two workers at the same phase
+		// still stall differently.
+		if d := time.Duration(phase * float64(p.cfg.RampMax) * (0.5 + 0.5*rng.Float64())); d > 0 {
+			stall += d
+			p.stats.Ramped++
+		}
+	}
+	if p.cfg.TrickleProb > 0 && p.cfg.TrickleFor > 0 && rng.Bool(p.cfg.TrickleProb) {
+		stall += p.cfg.TrickleFor
+		p.stats.Trickled++
+	}
+	p.stats.TotalStall += stall
+	return stall
 }
 
 // KillAfterUnits returns after how many started units worker should die

@@ -17,11 +17,12 @@ func drawSeq(p *NetPlan, worker string, n int) []NetVerdict {
 	return out
 }
 
-// TestNetPlanDeterministicPerWorker: a worker's verdict sequence depends
-// only on (seed, worker ID, call index) — interleaving calls from other
-// workers must not perturb it.
+// TestNetPlanDeterministicPerWorker: a worker's whole verdict, Stall
+// included, depends only on (seed, worker ID, call index) and the clock
+// readings — interleaving calls from other workers must not perturb
+// it, and a fresh plan on the same seed replays it exactly.
 func TestNetPlanDeterministicPerWorker(t *testing.T) {
-	cfg := DefaultNetConfig(0.8)
+	cfg := DefaultNetConfig(0.8, 1)
 	base := time.Unix(0, 0)
 
 	// p1: w1 and w2 strictly interleaved.
@@ -43,6 +44,9 @@ func TestNetPlanDeterministicPerWorker(t *testing.T) {
 				t.Fatalf("%s verdict %d differs across interleavings: %+v vs %+v", w, i, v, seq1[w][i])
 			}
 		}
+	}
+	if st1, st2 := p1.Stats(), p2.Stats(); st1 != st2 || st1.Ramped == 0 || st1.Trickled == 0 || st1.Duplicates == 0 {
+		t.Fatalf("stats differ or the mix is too tame to prove anything: %+v vs %+v", st1, st2)
 	}
 
 	// Distinct workers get distinct streams.
@@ -73,23 +77,24 @@ func TestNetPlanKillSchedule(t *testing.T) {
 			t.Fatalf("%s kill draw %d outside [4, 12)", w, k1)
 		}
 	}
-	if NewNetPlan(NetConfig{}, 7).KillAfterUnits("a") != 0 {
-		t.Fatal("zero config scheduled a kill")
-	}
 }
 
-// TestNetPlanZeroConfigInjectsNothing: the zero NetConfig is a no-op
-// transport.
+// TestNetPlanZeroConfigInjectsNothing: the zero NetConfig, and
+// DefaultNetConfig at zero intensity, is a no-op transport.
 func TestNetPlanZeroConfigInjectsNothing(t *testing.T) {
-	p := NewNetPlan(NetConfig{}, 1)
-	for i, v := range drawSeq(p, "w", 500) {
-		if v != (NetVerdict{}) {
-			t.Fatalf("zero config injected %+v at call %d", v, i)
+	for _, cfg := range []NetConfig{{}, DefaultNetConfig(0, 0)} {
+		p := NewNetPlan(cfg, 1)
+		for i, v := range drawSeq(p, "w", 500) {
+			if v != (NetVerdict{}) {
+				t.Fatalf("%+v injected %+v at call %d", cfg, v, i)
+			}
 		}
-	}
-	st := p.Stats()
-	if st.Calls != 500 || st.DroppedRequests+st.DroppedResponses+st.Duplicates+st.Delayed+st.Partitions != 0 {
-		t.Fatalf("zero config stats: %+v", st)
+		if st := p.Stats(); st != (NetStats{Calls: 500}) {
+			t.Fatalf("%+v stats: %+v", cfg, st)
+		}
+		if p.KillAfterUnits("w") != 0 {
+			t.Fatalf("%+v scheduled a kill", cfg)
+		}
 	}
 }
 
@@ -120,12 +125,90 @@ func TestNetPlanPartitionWindow(t *testing.T) {
 	if st.PartitionedCalls != 5 {
 		t.Fatalf("expected 5 partitioned calls, got %+v", st)
 	}
+}
 
-	// DefaultNetConfig(0) must never partition.
-	q := NewNetPlan(DefaultNetConfig(0), 3)
-	for i := 0; i < 200; i++ {
-		if v := q.Next("w", base.Add(time.Duration(i)*time.Millisecond)); v != (NetVerdict{}) {
-			t.Fatalf("intensity 0 injected %+v", v)
+// TestNetPlanRampShape: stalls near the crest of the sawtooth are
+// larger than stalls near its foot.
+func TestNetPlanRampShape(t *testing.T) {
+	p := NewNetPlan(NetConfig{RampPeriod: time.Second, RampMax: 20 * time.Millisecond}, 7)
+	base := time.Unix(2000, 0)
+	p.Next("w", base) // anchors the epoch
+
+	foot := p.Next("w", base.Add(time.Second+10*time.Millisecond)).Stall   // 1% into period 2
+	crest := p.Next("w", base.Add(time.Second+990*time.Millisecond)).Stall // 99% in
+	if foot >= crest {
+		t.Fatalf("ramp not rising: foot %v >= crest %v", foot, crest)
+	}
+	if crest < 5*time.Millisecond {
+		t.Fatalf("crest stall %v implausibly small for RampMax=20ms", crest)
+	}
+}
+
+// TestNetPlanTrickle: with trickle probability 1 every delivered call
+// stalls at least TrickleFor and the stats count it, while a call
+// dropped before delivery never reaches a gate to stall in.
+func TestNetPlanTrickle(t *testing.T) {
+	cfg := NetConfig{TrickleProb: 1, TrickleFor: 100 * time.Millisecond}
+	p := NewNetPlan(cfg, 9)
+	now := time.Unix(3000, 0)
+	for i := 0; i < 10; i++ {
+		if d := p.Next("w", now).Stall; d < cfg.TrickleFor {
+			t.Fatalf("call %d stalled %v, want >= %v", i, d, cfg.TrickleFor)
+		}
+	}
+	st := p.Stats()
+	if st.Trickled != 10 || st.Calls != 10 {
+		t.Fatalf("stats: %+v, want 10 trickled of 10", st)
+	}
+	if st.TotalStall < 10*cfg.TrickleFor {
+		t.Fatalf("total stall %v < 10×%v", st.TotalStall, cfg.TrickleFor)
+	}
+
+	cfg.DropRequestProb = 1
+	if v := NewNetPlan(cfg, 9).Next("w", now); !v.DropRequest || v.Stall != 0 {
+		t.Fatalf("dropped request drew %+v, want a drop with no stall", v)
+	}
+}
+
+// TestOverloadPlanDeterministic: the stall family alone (overload on,
+// net off) replays byte-identical stalls across identical runs, and
+// those runs do stall.
+func TestOverloadPlanDeterministic(t *testing.T) {
+	cfg := DefaultNetConfig(0, 1)
+	base := time.Unix(1000, 0)
+	run := func() ([]time.Duration, NetStats) {
+		p := NewNetPlan(cfg, 42)
+		var out []time.Duration
+		for i := 0; i < 200; i++ {
+			now := base.Add(time.Duration(i) * 7 * time.Millisecond)
+			out = append(out, p.Next("w1", now).Stall, p.Next("w2", now).Stall)
+		}
+		return out, p.Stats()
+	}
+	a, sa := run()
+	b, sb := run()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("stall %d differs across identical runs: %v vs %v", i, a[i], b[i])
+		}
+	}
+	if sa != sb || sa.TotalStall == 0 {
+		t.Fatalf("stats differ or nothing stalled: %+v vs %+v", sa, sb)
+	}
+}
+
+// TestOverloadPlanZeroConfig: with the stall family at zero, no call
+// stalls, even while the net family drops, duplicates and delays.
+func TestOverloadPlanZeroConfig(t *testing.T) {
+	for _, cfg := range []NetConfig{{}, DefaultNetConfig(1, 0)} {
+		p := NewNetPlan(cfg, 1)
+		for i, v := range drawSeq(p, "w", 500) {
+			if v.Stall != 0 {
+				t.Fatalf("%+v injected a %v stall at call %d", cfg, v.Stall, i)
+			}
+		}
+		if st := p.Stats(); st.Ramped != 0 || st.Trickled != 0 || st.TotalStall != 0 {
+			t.Fatalf("%+v stall stats: %+v", cfg, st)
 		}
 	}
 }

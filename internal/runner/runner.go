@@ -59,11 +59,9 @@ type Config struct {
 	// goroutine (only a run that ignores its context — a hard hang —
 	// ever gets abandoned). Zero means 2s.
 	Grace time.Duration
-	// Retries is how many times a failed experiment is re-attempted.
+	// Retries is how many times a failed experiment is re-attempted,
+	// each attempt reseeded by DefaultReseed.
 	Retries int
-	// Reseed derives attempt seeds: attempt 0 must return base. Nil
-	// installs DefaultReseed.
-	Reseed func(base uint64, attempt int) uint64
 
 	// Seed and Quick are forwarded into experiments.Options.
 	Seed  uint64
@@ -136,9 +134,6 @@ func RunOne(ctx context.Context, cfg Config, e experiments.Experiment, pool *sys
 	if cfg.Grace <= 0 {
 		cfg.Grace = 2 * time.Second
 	}
-	if cfg.Reseed == nil {
-		cfg.Reseed = DefaultReseed
-	}
 	logw := cfg.Log
 	if logw == nil {
 		logw = io.Discard
@@ -160,7 +155,7 @@ func supervise(ctx context.Context, cfg Config, e experiments.Experiment, logw i
 			rep.Err = err
 			break
 		}
-		seed := cfg.Reseed(cfg.Seed, attempt)
+		seed := DefaultReseed(cfg.Seed, attempt)
 		rep.Seed = seed
 		seeds = append(seeds, seed)
 		if attempt > 0 {

@@ -26,7 +26,7 @@ import (
 	"time"
 )
 
-// Endpoint names used by the admission gate's per-endpoint limits and
+// Endpoint names used by the admission gate's per-endpoint slots and
 // counters; the HTTP route map assigns each protocol POST to one.
 const (
 	EndpointLease     = "lease"
@@ -83,13 +83,8 @@ func (l GateLimits) withDefaults() GateLimits {
 
 // GateConfig tunes the admission gate.
 type GateConfig struct {
-	// Default applies to every endpoint without an override.
+	// Default applies to every endpoint.
 	Default GateLimits
-	// PerEndpoint overrides limits for named endpoints (EndpointLease,
-	// ...).
-	PerEndpoint map[string]GateLimits
-	// Clock supplies time for queue waits; nil means the wall clock.
-	Clock Clock
 }
 
 // EndpointLoad is one endpoint's admission counters.
@@ -182,7 +177,6 @@ func (s *gateSlot) admit() func() {
 // Gate is the admission controller. Safe for concurrent use; one Gate
 // fronts one coordinator across all transports.
 type Gate struct {
-	clock Clock
 	slots map[string]*gateSlot
 
 	breakerTrips     atomic.Int64
@@ -192,17 +186,9 @@ type Gate struct {
 
 // NewGate builds a gate over cfg.
 func NewGate(cfg GateConfig) *Gate {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = RealClock{}
-	}
-	g := &Gate{clock: clock, slots: make(map[string]*gateSlot)}
+	g := &Gate{slots: make(map[string]*gateSlot)}
+	limits := cfg.Default.withDefaults()
 	for _, ep := range gateEndpoints() {
-		limits, ok := cfg.PerEndpoint[ep]
-		if !ok {
-			limits = cfg.Default
-		}
-		limits = limits.withDefaults()
 		g.slots[ep] = &gateSlot{limits: limits, sem: make(chan struct{}, limits.Inflight)}
 	}
 	return g
@@ -229,20 +215,12 @@ func (g *Gate) Acquire(ctx context.Context, endpoint string) (func(), error) {
 	}
 	defer s.queued.Add(-1)
 
-	// Bound the queue wait under the injectable clock, so shedding is
-	// exact in manual-clock tests.
-	tctx, tcancel := context.WithCancel(ctx)
-	defer tcancel()
-	timedOut := make(chan struct{})
-	go func() {
-		if g.clock.Sleep(tctx, s.limits.QueueWait) == nil {
-			close(timedOut)
-		}
-	}()
+	timer := time.NewTimer(s.limits.QueueWait)
+	defer timer.Stop()
 	select {
 	case s.sem <- struct{}{}:
 		return s.admit(), nil
-	case <-timedOut:
+	case <-timer.C:
 		s.shed.Add(1)
 		return nil, &OverloadError{Endpoint: endpoint, RetryAfter: g.retryAfter(s)}
 	case <-ctx.Done():

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// leaseGate builds a gate whose lease endpoint has the given limits;
-// the other endpoints keep defaults.
+// leaseGate builds a gate with the given limits, for tests that drive
+// its lease endpoint.
 func leaseGate(l GateLimits) *Gate {
-	return NewGate(GateConfig{PerEndpoint: map[string]GateLimits{EndpointLease: l}})
+	return NewGate(GateConfig{Default: l})
 }
 
 // waitForQueued polls until the endpoint's queued gauge reaches n —

@@ -3,6 +3,7 @@ package sweepd
 import (
 	"context"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func TestChaosExactlyOnceOrQuarantined(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 
-	plan := faults.NewNetPlan(faults.DefaultNetConfig(0.5), 0xC0FFEE)
+	plan := faults.NewNetPlan(faults.DefaultNetConfig(0.5, 0), 0xC0FFEE)
 	var mu sync.Mutex
 	exec := map[UnitID]int{}
 	newRunner := func(workerID string) UnitRunner {
@@ -64,8 +65,7 @@ func TestChaosExactlyOnceOrQuarantined(t *testing.T) {
 	rep := RunFleet(ctx, c, FleetConfig{
 		Workers: 4, Jobs: 2,
 		NewRunner: newRunner,
-		Plan:      plan,
-		Respawn:   true, MaxRespawns: 200,
+		Plan:      plan, MaxRespawns: 200,
 		PollMax: 100 * time.Millisecond,
 	})
 	if ctx.Err() != nil {
@@ -220,6 +220,85 @@ func TestFleetResumeAfterCoordinatorCrash(t *testing.T) {
 	for _, u := range units {
 		if !doneA[u.ID] && execB[u.ID] != 1 {
 			t.Errorf("unfinished unit %s ran %d times in phase B, want 1", u.ID, execB[u.ID])
+		}
+	}
+}
+
+// syncLog is a log sink safe for the coordinator's concurrent writers.
+type syncLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestFleetKillIsACrash: a chaos kill looks to the coordinator exactly
+// like a dead process. After w1 dies at its first checkpoint, none of
+// its calls — heartbeat, release, completion — reaches the coordinator
+// (its runner even returns a success, which a crashed process never
+// could report), so its lease expires and the respawned w2 runs the
+// unit.
+func TestFleetKillIsACrash(t *testing.T) {
+	plan := faults.NewNetPlan(faults.NetConfig{KillEveryUnits: 2}, 4)
+	if plan.KillAfterUnits("w1") != 1 || plan.KillAfterUnits("w2") != 2 {
+		t.Fatal("plan seed no longer kills w1 at its first unit and spares w2's")
+	}
+	var log syncLog
+	c, err := NewCoordinator(CoordinatorConfig{
+		LeaseTTL: 600 * time.Millisecond, RetryBase: 5 * time.Millisecond, RetryJitter: 5 * time.Millisecond,
+		Log: &log,
+	}, testUnits(1))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	afterKill := make(chan UnitStatus, 1)
+	newRunner := func(id string) UnitRunner {
+		return func(ctx context.Context, u Unit, progress func(string)) UnitResult {
+			if id == "w1" {
+				progress("warmup") // the kill fires here
+				<-ctx.Done()
+				// Outlive a heartbeat interval (TTL/3): a live worker
+				// would have extended its lease by now.
+				time.Sleep(250 * time.Millisecond)
+				afterKill <- c.Snapshot().Units[0]
+			}
+			return UnitResult{OK: true, Result: "ok from " + id, Attempts: 1}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	rep := RunFleet(ctx, c, FleetConfig{
+		Workers: 1, Jobs: 1, NewRunner: newRunner, Plan: plan, PollMax: 50 * time.Millisecond,
+	})
+	if rep.Killed != 1 || rep.Spawned != 2 {
+		t.Fatalf("fleet report %+v, want one kill and one respawn", rep)
+	}
+	if u := <-afterKill; u.Worker != "w1" || u.State != UnitLeased || u.Heartbeats != 0 {
+		t.Errorf("after the kill the unit is %+v, want still leased to w1 with no heartbeat", u)
+	}
+	u := c.Snapshot().Units[0]
+	if u.State != UnitDone || u.Completions != 1 || u.Expiries != 1 {
+		t.Errorf("unit ended %+v, want done once after one lease expiry", u)
+	}
+	got := log.String()
+	for _, bad := range []string{"w1 released", "done by w1", "failed on w1"} {
+		if strings.Contains(got, bad) {
+			t.Errorf("a call from the killed worker reached the coordinator (%q):\n%s", bad, got)
+		}
+	}
+	for _, want := range []string{"lease on u00 by w1 expired", "u00 done by w2"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("coordinator log lacks %q:\n%s", want, got)
 		}
 	}
 }

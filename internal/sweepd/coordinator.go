@@ -67,10 +67,6 @@ type CoordinatorConfig struct {
 	// compaction folds them into a snapshot; zero means
 	// max(256, 4×units).
 	SnapshotEvery int
-	// PersistRetries bounds how many times one transition's journal
-	// append is retried (each retry rolls a fresh generation, which
-	// also clears a torn in-flight file); zero means 2.
-	PersistRetries int
 	// PersistFailLimit is how many consecutive transitions may fail to
 	// persist before the coordinator declares itself degraded: it stops
 	// granting leases, surfaces `degraded` in /v1/status, and Wait
@@ -102,9 +98,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.FS == nil {
 		c.FS = vfs.OS{}
 	}
-	if c.PersistRetries <= 0 {
-		c.PersistRetries = 2
-	}
 	if c.PersistFailLimit <= 0 {
 		c.PersistFailLimit = 3
 	}
@@ -113,6 +106,11 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	return c
 }
+
+// persistRetries bounds how many times one transition's journal append
+// is retried (each retry rolls a fresh generation, which also clears a
+// torn in-flight file).
+const persistRetries = 2
 
 // UnitFailure is one recorded failure of a unit on one worker.
 type UnitFailure struct {
@@ -226,7 +224,7 @@ func NewCoordinator(cfg CoordinatorConfig, units []Unit) (*Coordinator, error) {
 		if err := c.persistEntriesLocked(nil); err != nil {
 			// No generation this coordinator owns is durable, so nothing
 			// it merges could be either: refuse work from the start.
-			c.degradeLocked(fmt.Sprintf("bootstrap snapshot not durable after %d attempt(s): %v", c.cfg.PersistRetries+1, err))
+			c.degradeLocked(fmt.Sprintf("bootstrap snapshot not durable after %d attempt(s): %v", persistRetries+1, err))
 		}
 		c.mu.Unlock()
 		if restored > 0 {

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,11 +128,7 @@ func TestHTTP429PropagatesOverloadError(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewCoordinator: %v", err)
 			}
-			gate := NewGate(GateConfig{
-				PerEndpoint: map[string]GateLimits{
-					EndpointLease: {Inflight: 1, Queue: 1, QueueWait: time.Minute},
-				},
-			})
+			gate := NewGate(GateConfig{Default: GateLimits{Inflight: 1, Queue: 1, QueueWait: time.Minute}})
 			h := NewServer(c, ServerConfig{Gate: gate})
 			base, httpc := "http://loopback", &http.Client{Transport: handlerTransport{h: h}}
 			if transport == "listener" {
@@ -212,19 +209,38 @@ func (b *bodyRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	b.next.ServeHTTP(w, r)
 }
 
+// stallClock never sleeps; it records, per Sleep, how many bodies rec
+// had finished reading, so a stall served inside delivery i's body read
+// records i.
+type stallClock struct {
+	RealClock
+	rec    *bodyRecorder
+	stalls []int
+}
+
+func (s *stallClock) Sleep(context.Context, time.Duration) error {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	s.stalls = append(s.stalls, len(s.rec.bodies))
+	return nil
+}
+
 // TestNetFaultTransportCompleteOnce drives one Complete through the
 // net-fault transport. A duplicate verdict delivers byte-identical
 // bodies twice and the coordinator merges once, acking the second
-// delivery idempotently; a dropped response still merges the unit
-// while the caller sees ErrInjectedNetFault.
+// delivery idempotently, and a stalled duplicate stalls inside each
+// delivery's body read; a dropped response still merges the unit while
+// the caller sees ErrInjectedNetFault.
 func TestNetFaultTransportCompleteOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		cfg        faults.NetConfig
 		deliveries int
+		stalls     []int
 	}{
-		{"duplicate", faults.NetConfig{DuplicateProb: 1}, 2},
-		{"dropped-response", faults.NetConfig{DropResponseProb: 1}, 1},
+		{"duplicate", faults.NetConfig{DuplicateProb: 1}, 2, nil},
+		{"duplicate-stalled", faults.NetConfig{DuplicateProb: 1, TrickleProb: 1, TrickleFor: time.Hour}, 2, []int{0, 1}},
+		{"dropped-response", faults.NetConfig{DropResponseProb: 1}, 1, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := NewCoordinator(CoordinatorConfig{}, testUnits(1))
@@ -238,8 +254,9 @@ func TestNetFaultTransportCompleteOnce(t *testing.T) {
 			lu := lease.Units[0]
 			rec := &bodyRecorder{next: NewServer(c, ServerConfig{})}
 			plan := faults.NewNetPlan(tc.cfg, 1)
+			clk := &stallClock{rec: rec}
 			client := loopbackClient(&netFaultTransport{
-				next: handlerTransport{h: rec}, plan: plan, worker: "w", clock: RealClock{},
+				next: handlerTransport{h: rec}, plan: plan, worker: "w", clock: clk,
 			})
 
 			resp, err := client.Complete(context.Background(), CompleteRequest{
@@ -260,6 +277,9 @@ func TestNetFaultTransportCompleteOnce(t *testing.T) {
 				if !bytes.Equal(body, rec.bodies[0]) {
 					t.Fatalf("delivery %d body %q differs from the first %q", i, body, rec.bodies[0])
 				}
+			}
+			if !slices.Equal(clk.stalls, tc.stalls) {
+				t.Fatalf("stalls served inside deliveries %v, want %v", clk.stalls, tc.stalls)
 			}
 			st := c.Snapshot()
 			if st.Done != 1 || st.Units[0].Completions != 1 {

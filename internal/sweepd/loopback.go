@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -18,8 +19,8 @@ import (
 // differs. handlerTransport serves each request by calling the
 // coordinator's own handler (NewServer) with no sockets in between, so
 // admission, the JSON codec, and the 429 → *OverloadError mapping run
-// on one path for every transport. Fault injection composes as
-// RoundTrippers stacked on top of it.
+// on one path for every transport. Fault injection is one RoundTripper
+// on top of it (netFaultTransport).
 
 // ErrInjectedNetFault is the transport error netFaultTransport surfaces
 // for dropped requests and responses.
@@ -91,83 +92,46 @@ func (r *responseBuffer) Write(p []byte) (int, error) {
 	return r.body.Write(p)
 }
 
-// overloadTransport shapes calls with an overload plan (latency ramp,
-// slow-loris trickle). The stall delays the request body's first Read,
-// not the round trip: the handler reads the body only once the
-// admission gate has granted a slot, so a trickling call holds its slot
-// for the whole stall — the resource exhaustion slow-loris attacks
-// exploit and the queue bound must survive. A shed call is never read,
-// so it never draws a stall.
-type overloadTransport struct {
-	next   http.RoundTripper
-	plan   *faults.OverloadPlan
-	worker string
-	clock  Clock
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *overloadTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body == nil {
-		return t.next.RoundTrip(req)
-	}
-	shaped := req.WithContext(req.Context())
-	shaped.Body = &stalledBody{ReadCloser: req.Body, t: t, ctx: req.Context()}
-	return t.next.RoundTrip(shaped)
-}
-
-// stalledBody draws its stall from the plan and sleeps it out before
-// the first Read.
-type stalledBody struct {
-	io.ReadCloser
-	t       *overloadTransport
-	ctx     context.Context
-	started bool
-}
-
-func (b *stalledBody) Read(p []byte) (int, error) {
-	if !b.started {
-		b.started = true
-		if stall := b.t.plan.Next(b.t.worker, b.t.clock.Now()); stall > 0 {
-			if err := b.t.clock.Sleep(b.ctx, stall); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return b.ReadCloser.Read(p)
-}
-
 // netFaultTransport applies a deterministic network-fault plan
-// (internal/faults.NetPlan) per call: drops, delays, duplications, and
-// partition windows. A dropped request never reaches the inner
-// transport; a dropped response does — the coordinator acts on it while
-// the worker sees an error and retries, which is the duplicated-
-// delivery path the coordinator's idempotency must absorb.
+// (internal/faults.NetPlan) per call, in order: a dead worker's call
+// is dropped; a partition or drop loses the request; a Delay holds it
+// before delivery; a Stall holds it inside the coordinator's admission
+// gate. A dropped response is delivered first — the coordinator acts on
+// it while the worker sees an error and retries, which is the
+// duplicated-delivery path the coordinator's idempotency must absorb.
 type netFaultTransport struct {
 	next   http.RoundTripper
 	plan   *faults.NetPlan
 	worker string
 	clock  Clock
+	// dead marks a crashed worker: no call of its reaches the
+	// coordinator any more.
+	dead atomic.Bool
 }
 
 // RoundTrip implements http.RoundTripper.
 func (t *netFaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if t.dead.Load() {
+		closeBody(req)
+		return nil, fmt.Errorf("%w: worker is dead", ErrInjectedNetFault)
+	}
 	v := t.plan.Next(t.worker, t.clock.Now())
+	if v.DropRequest {
+		closeBody(req)
+		return nil, fmt.Errorf("%w: request dropped", ErrInjectedNetFault)
+	}
 	if v.Delay > 0 {
 		if err := t.clock.Sleep(req.Context(), v.Delay); err != nil {
 			closeBody(req)
 			return nil, err
 		}
 	}
-	if v.DropRequest {
-		closeBody(req)
-		return nil, fmt.Errorf("%w: request dropped", ErrInjectedNetFault)
-	}
 	var resp *http.Response
 	var err error
 	if v.Duplicate {
-		resp, err = t.deliverTwice(req)
+		resp, err = t.deliverTwice(req, v.Stall)
 	} else {
-		resp, err = t.next.RoundTrip(req)
+		resp, err = t.next.RoundTrip(t.stalled(req, req.Body, v.Stall))
 	}
 	if v.DropResponse {
 		discardResponse(resp)
@@ -176,9 +140,42 @@ func (t *netFaultTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	return resp, err
 }
 
-// deliverTwice sends the same body twice, back to back; the second
-// delivery's response is the one the caller reads.
-func (t *netFaultTransport) deliverTwice(req *http.Request) (*http.Response, error) {
+// stalled returns req carrying body, whose first Read first sleeps out
+// stall. The handler reads the body only once the admission gate has
+// granted a slot, so a stalled call holds its slot for the whole stall
+// — the resource exhaustion slow-loris attacks exploit and the queue
+// bound must survive — and a shed call is never read, so never stalls.
+func (t *netFaultTransport) stalled(req *http.Request, body io.ReadCloser, stall time.Duration) *http.Request {
+	r := req.WithContext(req.Context())
+	r.Body = body
+	if stall > 0 && body != nil {
+		r.Body = &stalledBody{ReadCloser: body, ctx: req.Context(), clock: t.clock, stall: stall}
+	}
+	return r
+}
+
+// stalledBody sleeps out its stall before the first Read.
+type stalledBody struct {
+	io.ReadCloser
+	ctx   context.Context
+	clock Clock
+	stall time.Duration
+}
+
+func (b *stalledBody) Read(p []byte) (int, error) {
+	if d := b.stall; d > 0 {
+		b.stall = 0
+		if err := b.clock.Sleep(b.ctx, d); err != nil {
+			return 0, err
+		}
+	}
+	return b.ReadCloser.Read(p)
+}
+
+// deliverTwice sends the same body twice, back to back, each delivery
+// stalling inside the gate; the second delivery's response is the one
+// the caller reads.
+func (t *netFaultTransport) deliverTwice(req *http.Request, stall time.Duration) (*http.Response, error) {
 	var body []byte
 	if req.Body != nil {
 		var err error
@@ -189,9 +186,7 @@ func (t *netFaultTransport) deliverTwice(req *http.Request) (*http.Response, err
 		}
 	}
 	send := func() (*http.Response, error) {
-		r := req.WithContext(req.Context())
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		return t.next.RoundTrip(r)
+		return t.next.RoundTrip(t.stalled(req, io.NopCloser(bytes.NewReader(body)), stall))
 	}
 	first, err := send()
 	if err != nil {
@@ -224,11 +219,9 @@ type FleetConfig struct {
 	// NewRunner builds each worker's UnitRunner (workers should not
 	// share mutable runner state).
 	NewRunner func(workerID string) UnitRunner
-	// Plan, when non-nil, injects network faults and schedules kills.
+	// Plan, when non-nil, injects network faults and stalls and
+	// schedules kills.
 	Plan *faults.NetPlan
-	// Overload, when non-nil, shapes every call with latency ramps and
-	// slow-loris trickles (overloadTransport).
-	Overload *faults.OverloadPlan
 	// Gate, when non-nil, fronts the coordinator's handler with
 	// admission control and receives the workers' breaker counters.
 	Gate *Gate
@@ -236,16 +229,12 @@ type FleetConfig struct {
 	// thundering-herd shape — instead of letting goroutine scheduling
 	// stagger them.
 	HerdStart bool
-	// BatchCompletes, RetryBase, BreakerAfter, and BreakerCooldown are
-	// forwarded to each WorkerConfig.
-	BatchCompletes  bool
-	RetryBase       time.Duration
-	BreakerAfter    int
-	BreakerCooldown time.Duration
-	// Respawn replaces killed workers (fresh ID, fresh kill draw) while
-	// the sweep is unfinished, up to MaxRespawns (zero means 4× the
-	// fleet width).
-	Respawn     bool
+	// BatchCompletes and RetryBase are forwarded to each WorkerConfig.
+	BatchCompletes bool
+	RetryBase      time.Duration
+	// MaxRespawns caps how many killed workers are replaced (fresh ID,
+	// fresh kill draw) while the sweep is unfinished; zero means 4× the
+	// fleet width.
 	MaxRespawns int
 	// Clock supplies time; nil means the wall clock.
 	Clock Clock
@@ -260,8 +249,6 @@ type FleetReport struct {
 	// Spawned counts every worker ever started (initial + respawns);
 	// Killed counts chaos kills.
 	Spawned, Killed int
-	// Breaker aggregates every worker's circuit-breaker counters.
-	Breaker BreakerStats
 }
 
 // RunFleet drives an in-process fleet against the coordinator until the
@@ -270,6 +257,12 @@ type FleetReport struct {
 // and the chaos tests. Once every unit is terminal it cancels the fleet
 // rather than wait for idle workers to wake from their poll backoff and
 // see Done.
+//
+// A Plan's kill schedule crashes a worker the way a process dies: its
+// transport goes dead (no later call of its reaches the coordinator)
+// and its context is cancelled, so it completes and releases nothing
+// and its leases expire. A killed worker is replaced while the sweep is
+// unfinished, up to MaxRespawns.
 func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -313,44 +306,42 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 	var spawn func(idx int)
 	spawn = func(idx int) {
 		id := fmt.Sprintf("w%d", idx)
+		wctx, wcancel := context.WithCancel(ctx)
 		// Chain, coordinator-outward: the handler (admission gate
-		// included), then overload shaping, whose stall lands inside the
-		// gate slot, then network faults on the way there, then the
+		// included), then network faults on the way there, then the
 		// worker's own breaker (added by NewWorker).
 		var rt http.RoundTripper = handlerTransport{h: handler}
-		if cfg.Overload != nil {
-			rt = &overloadTransport{next: rt, plan: cfg.Overload, worker: id, clock: clock}
-		}
-		kill := 0
+		run := cfg.NewRunner(id)
+		var nt *netFaultTransport
 		if cfg.Plan != nil {
-			rt = &netFaultTransport{next: rt, plan: cfg.Plan, worker: id, clock: clock}
-			kill = cfg.Plan.KillAfterUnits(id)
+			nt = &netFaultTransport{next: rt, plan: cfg.Plan, worker: id, clock: clock}
+			rt = nt
+			run = killAfter(run, cfg.Plan.KillAfterUnits(id), func() {
+				nt.dead.Store(true)
+				fmt.Fprintf(logw, "%s: KILLED mid-trial (chaos schedule)\n", id)
+				wcancel()
+			})
 		}
 		w := NewWorker(WorkerConfig{
-			ID: id, Client: loopbackClient(rt), Run: cfg.NewRunner(id),
+			ID: id, Client: loopbackClient(rt), Run: run,
 			Clock: clock, Jobs: cfg.Jobs, PollMax: cfg.PollMax,
 			RetryBase: cfg.RetryBase, BatchCompletes: cfg.BatchCompletes,
-			BreakerAfter: cfg.BreakerAfter, BreakerCooldown: cfg.BreakerCooldown,
-			KillAfterUnits: kill, Log: logw,
+			Log: logw,
 		})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer wcancel()
 			select {
 			case <-start:
 			case <-ctx.Done():
 				return
 			}
-			err := w.Run(ctx)
-			mu.Lock()
-			rep.Breaker.Trips += w.BreakerStats().Trips
-			rep.Breaker.FastFails += w.BreakerStats().FastFails
-			rep.Breaker.Probes += w.BreakerStats().Probes
-			mu.Unlock()
+			w.Run(wctx)
 			if cfg.Gate != nil {
 				cfg.Gate.RecordBreaker(w.BreakerStats())
 			}
-			if !errors.Is(err, ErrKilled) {
+			if nt == nil || !nt.dead.Load() {
 				return
 			}
 			mu.Lock()
@@ -361,7 +352,7 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 				done = true
 			default:
 			}
-			if cfg.Respawn && !done && respawns < cfg.MaxRespawns && ctx.Err() == nil {
+			if !done && respawns < cfg.MaxRespawns && ctx.Err() == nil {
 				respawns++
 				rep.Spawned++
 				next := cfg.Workers + respawns
@@ -385,4 +376,27 @@ func RunFleet(ctx context.Context, c *Coordinator, cfg FleetConfig) FleetReport 
 	}
 	wg.Wait()
 	return rep
+}
+
+// killAfter wraps run so that the nth unit it starts crashes the
+// worker: kill fires at the unit's first progress checkpoint — as
+// "mid-trial" as it gets — or, if the unit never checkpoints, before it
+// reports. n <= 0 never kills.
+func killAfter(run UnitRunner, n int, kill func()) UnitRunner {
+	if n <= 0 {
+		return run
+	}
+	var started atomic.Int64
+	var once sync.Once
+	return func(ctx context.Context, u Unit, progress func(string)) UnitResult {
+		if started.Add(1) != int64(n) {
+			return run(ctx, u, progress)
+		}
+		res := run(ctx, u, func(note string) {
+			once.Do(kill)
+			progress(note)
+		})
+		once.Do(kill)
+		return res
+	}
 }

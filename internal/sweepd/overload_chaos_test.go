@@ -13,9 +13,9 @@ import (
 // TestOverloadChaosThunderingHerd is the overload-robustness proof: a
 // herd of workers far wider than the admission gate's capacity is
 // released at one instant against a coordinator behind tight inflight
-// caps, while an overload plan shapes every call with latency ramps and
-// slow-loris trickles and a network plan drops and duplicates messages
-// underneath. Under all of that:
+// caps, while one network plan stalls every call with latency ramps and
+// slow-loris trickles and drops and duplicates messages underneath.
+// Under all of that:
 //
 //   - the coordinator never sees more than the configured inflight cap
 //     on any endpoint (the gate's hard invariant),
@@ -71,28 +71,24 @@ func TestOverloadChaosThunderingHerd(t *testing.T) {
 	// Trickle-heavy mix: with ~a third of admitted calls holding their
 	// gate slot for 120ms, four slots congest constantly — queueing and
 	// shedding are a certainty, not a scheduling accident.
-	overload := faults.NewOverloadPlan(faults.OverloadConfig{
-		RampPeriod:  500 * time.Millisecond,
-		DelayMax:    10 * time.Millisecond,
-		TrickleProb: 0.35,
-		TrickleFor:  120 * time.Millisecond,
-	}, 0x0AD)
-	netplan := faults.NewNetPlan(faults.DefaultNetConfig(0.25), 0x0AD)
+	cfg := faults.DefaultNetConfig(0.25, 0)
+	cfg.RampPeriod, cfg.RampMax = 500*time.Millisecond, 10*time.Millisecond
+	cfg.TrickleProb, cfg.TrickleFor = 0.35, 120*time.Millisecond
+	plan := faults.NewNetPlan(cfg, 0x0AD)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	rep := RunFleet(ctx, c, FleetConfig{
 		Workers: nWorkers, Jobs: 1,
 		NewRunner: newRunner,
-		Plan:      netplan,
-		Overload:  overload,
+		Plan:      plan,
 		Gate:      gate,
 		HerdStart: true,
 		// Batched completes ride through the same storm.
 		BatchCompletes: true,
 		RetryBase:      2 * time.Millisecond,
-		Respawn:        true, MaxRespawns: 300,
-		PollMax: 200 * time.Millisecond,
+		MaxRespawns:    300,
+		PollMax:        200 * time.Millisecond,
 	})
 	if ctx.Err() != nil {
 		t.Fatalf("overloaded sweep timed out; fleet=%+v gate=%+v snapshot=%+v",
@@ -154,11 +150,10 @@ func TestOverloadChaosThunderingHerd(t *testing.T) {
 	if lease.Admitted == 0 {
 		t.Errorf("nothing admitted on lease: %+v", lease)
 	}
-	if ost := overload.Stats(); ost.Calls == 0 || ost.TotalStall == 0 {
-		t.Errorf("overload plan injected nothing: %+v", ost)
+	if ps := plan.Stats(); ps.Calls == 0 || ps.TotalStall == 0 {
+		t.Errorf("plan injected no stall: %+v", ps)
 	}
-	t.Logf("overload chaos: fleet=%+v gate=%+v overload=%+v net=%+v",
-		rep, gs, overload.Stats(), netplan.Stats())
+	t.Logf("overload chaos: fleet=%+v gate=%+v net=%+v", rep, gs, plan.Stats())
 }
 
 // TestFleetHerdStartReleasesTogether: the herd barrier releases every
@@ -179,9 +174,7 @@ func TestFleetHerdStartReleasesTogether(t *testing.T) {
 	c.AttachGate(gate)
 	// Every call trickles: the revolving door spins slow enough that the
 	// herd's burst cannot drain through it one at a time.
-	overload := faults.NewOverloadPlan(faults.OverloadConfig{
-		TrickleProb: 1, TrickleFor: 25 * time.Millisecond,
-	}, 0x5EED)
+	plan := faults.NewNetPlan(faults.NetConfig{TrickleProb: 1, TrickleFor: 25 * time.Millisecond}, 0x5EED)
 	var mu sync.Mutex
 	exec := map[UnitID]int{}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -189,7 +182,7 @@ func TestFleetHerdStartReleasesTogether(t *testing.T) {
 	RunFleet(ctx, c, FleetConfig{
 		Workers: nWorkers, Jobs: 1,
 		NewRunner: okRunner(&mu, exec),
-		Overload:  overload,
+		Plan:      plan,
 		Gate:      gate,
 		HerdStart: true,
 		RetryBase: 2 * time.Millisecond,

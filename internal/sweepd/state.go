@@ -97,7 +97,7 @@ func (c *Coordinator) persistUnitsLocked(rs []*unitRecord) {
 // heals the torn file.
 func (c *Coordinator) persistEntriesLocked(entries []stateEntry) error {
 	var err error
-	for attempt := 0; attempt <= c.cfg.PersistRetries; attempt++ {
+	for attempt := 0; attempt <= persistRetries; attempt++ {
 		if c.store.dirty {
 			if err = c.store.compact(c.entriesLocked()); err != nil {
 				continue

@@ -28,16 +28,10 @@ type UnitResult struct {
 }
 
 // UnitRunner executes one unit. ctx cancellation must abort the run
-// promptly (the worker cancels on heartbeat-abandon, kill, and
-// shutdown); progress streams checkpoint notes that ride out on
-// heartbeats. `ufsim` adapts the supervised experiment runner into
+// promptly (the worker cancels on heartbeat-abandon and shutdown);
+// progress streams checkpoint notes that ride out on heartbeats. `ufsim` adapts the supervised experiment runner into
 // one; tests plug in trivial runners.
 type UnitRunner func(ctx context.Context, u Unit, progress func(note string)) UnitResult
-
-// ErrKilled is returned by Worker.Run when the worker's chaos kill
-// schedule fired: the worker died mid-trial without completing or
-// releasing anything, exactly the crash lease expiry exists to absorb.
-var ErrKilled = errors.New("sweepd: worker killed by chaos schedule")
 
 // ErrBreakerOpen is the circuit breaker's fast-fail: the coordinator
 // has failed enough consecutive calls that hammering it would only
@@ -66,10 +60,6 @@ type WorkerConfig struct {
 	// Seed feeds the jitter stream; zero derives one from ID, so a
 	// fleet of workers started identically still spreads its retries.
 	Seed uint64
-	// CompleteRetries is how many times a failed Complete delivery is
-	// retried before giving up (the lease then simply expires); zero
-	// means 4.
-	CompleteRetries int
 	// BatchCompletes ships each lease round's outcomes as one
 	// CompleteBatch request (collected over BatchLinger) instead of one
 	// Complete per unit — the worker half of completion pipelining.
@@ -85,12 +75,13 @@ type WorkerConfig struct {
 	// BreakerCooldown is how long an open breaker waits before
 	// half-opening on a single probe; zero means 2s.
 	BreakerCooldown time.Duration
-	// KillAfterUnits arms the chaos kill: the worker dies mid-trial
-	// while running its nth started unit. Zero disables.
-	KillAfterUnits int
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
+
+// completeRetries is how many times a failed completion delivery is
+// retried before giving up (the lease then simply expires).
+const completeRetries = 4
 
 // Worker leases units from a coordinator and runs them until the sweep
 // is done, the coordinator drains, or its context is cancelled.
@@ -108,11 +99,6 @@ type Worker struct {
 	rng   *sim.Rand
 
 	draining atomic.Bool
-	dead     atomic.Bool
-	killOnce sync.Once
-	killFn   context.CancelFunc
-
-	started atomic.Int64
 }
 
 // NewWorker builds a worker; Client and Run are required.
@@ -131,9 +117,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = sim.HashString(cfg.ID)
-	}
-	if cfg.CompleteRetries <= 0 {
-		cfg.CompleteRetries = 4
 	}
 	if cfg.BatchLinger <= 0 {
 		cfg.BatchLinger = 15 * time.Millisecond
@@ -184,46 +167,24 @@ func (w *Worker) newRetrier(label string) *retrier {
 // and report, then Run returns nil.
 func (w *Worker) Drain() { w.draining.Store(true) }
 
-// die is the chaos kill: mark dead and cancel everything. A dead worker
-// completes nothing and releases nothing.
-func (w *Worker) die() {
-	w.killOnce.Do(func() {
-		w.dead.Store(true)
-		fmt.Fprintf(w.cfg.Log, "%s: KILLED mid-trial (chaos schedule)\n", w.cfg.ID)
-		if w.killFn != nil {
-			w.killFn()
-		}
-	})
-}
-
 // Run is the worker main loop: lease, execute, report, repeat. It
-// returns nil when the sweep is done or draining, ErrKilled when the
-// chaos schedule fired, and ctx.Err() on cancellation.
+// returns nil when the sweep is done or draining, and ctx.Err() on
+// cancellation.
 func (w *Worker) Run(ctx context.Context) error {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	w.killFn = cancel
-
 	retry := w.newRetrier("lease")
 	for {
-		if w.dead.Load() {
-			return ErrKilled
-		}
 		if w.draining.Load() {
 			fmt.Fprintf(w.cfg.Log, "%s: drained, exiting\n", w.cfg.ID)
 			return nil
 		}
-		if err := runCtx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 
-		resp, err := w.cfg.Client.Lease(runCtx, LeaseRequest{Worker: w.cfg.ID, Max: w.cfg.Jobs})
-		if w.dead.Load() {
-			return ErrKilled
-		}
+		resp, err := w.cfg.Client.Lease(ctx, LeaseRequest{Worker: w.cfg.ID, Max: w.cfg.Jobs})
 		if err != nil {
-			if runCtx.Err() != nil {
-				return runCtx.Err()
+			if ctx.Err() != nil {
+				return ctx.Err()
 			}
 			// Transport fault, shed, or open breaker: back off and retry.
 			// A shed carries the coordinator's own hint — honor it
@@ -233,7 +194,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if errors.As(err, &oe) {
 				wait = retry.stretch(oe.RetryAfter)
 			}
-			if err := w.cfg.Clock.Sleep(runCtx, wait); err != nil {
+			if err := w.cfg.Clock.Sleep(ctx, wait); err != nil {
 				return err
 			}
 			continue
@@ -256,7 +217,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			// Jitter the shared hint: every idle worker gets the same
 			// RetryAfterMillis, and sleeping it verbatim would march the
 			// fleet back in lockstep.
-			if err := w.cfg.Clock.Sleep(runCtx, retry.stretch(wait)); err != nil {
+			if err := w.cfg.Clock.Sleep(ctx, retry.stretch(wait)); err != nil {
 				return err
 			}
 			continue
@@ -264,14 +225,14 @@ func (w *Worker) Run(ctx context.Context) error {
 
 		var sink *completionSink
 		if w.cfg.BatchCompletes {
-			sink = w.startSink(runCtx, len(resp.Units))
+			sink = w.startSink(ctx, len(resp.Units))
 		}
 		var wg sync.WaitGroup
 		for _, lu := range resp.Units {
 			wg.Add(1)
 			go func(lu LeasedUnit) {
 				defer wg.Done()
-				w.execute(runCtx, ctx, lu, sink)
+				w.execute(ctx, lu, sink)
 			}(lu)
 		}
 		wg.Wait()
@@ -283,28 +244,18 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // execute runs one leased unit under a heartbeat loop and reports its
-// outcome. runCtx is the worker's cancellable context (kill, abort);
-// parent distinguishes an external abort (release the lease) from an
-// internal abandon (the lease is no longer ours — walk away silently).
+// outcome. Cancelling ctx is an external abort (release the lease);
+// a heartbeat's Abandon is an internal one (the lease is no longer
+// ours — walk away silently).
 // With a non-nil sink the outcome goes to the batch collector instead
 // of an individual Complete round trip.
-func (w *Worker) execute(runCtx, parent context.Context, lu LeasedUnit, sink *completionSink) {
-	n := w.started.Add(1)
-	killThis := w.cfg.KillAfterUnits > 0 && n == int64(w.cfg.KillAfterUnits)
-
-	unitCtx, cancelUnit := context.WithCancel(runCtx)
+func (w *Worker) execute(ctx context.Context, lu LeasedUnit, sink *completionSink) {
+	unitCtx, cancelUnit := context.WithCancel(ctx)
 	defer cancelUnit()
 
 	var noteMu sync.Mutex
 	var note string
-	var killFired atomic.Bool
 	progress := func(s string) {
-		if killThis && !killFired.Swap(true) {
-			// Mid-trial death: the first checkpoint of the doomed unit
-			// is as "mid" as it gets.
-			w.die()
-			return
-		}
 		noteMu.Lock()
 		note = s
 		noteMu.Unlock()
@@ -349,30 +300,24 @@ func (w *Worker) execute(runCtx, parent context.Context, lu LeasedUnit, sink *co
 	cancelUnit()
 	<-hbDone
 
-	if w.dead.Load() {
-		return // crashed: no completion, no release — the lease expires
-	}
-	if killThis {
-		// The runner never reported progress; die before reporting so
-		// the kill still looks like a crash to the coordinator.
-		w.die()
-		return
-	}
 	if abandoned.Load() {
 		fmt.Fprintf(w.cfg.Log, "%s: abandoned %s (lease reassigned)\n", w.cfg.ID, lu.Unit.ID)
 		return
 	}
-	if parent.Err() != nil || runCtx.Err() != nil {
+	if ctx.Err() != nil {
 		// Aborted from outside: hand the lease back so the coordinator
 		// reassigns immediately instead of waiting out the TTL. The
 		// worker is shutting down, so use a short independent context.
 		rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer rcancel()
-		w.cfg.Client.Release(rctx, ReleaseRequest{
+		if _, err := w.cfg.Client.Release(rctx, ReleaseRequest{
 			Worker: w.cfg.ID,
 			Units:  []UnitEpoch{{Unit: lu.Unit.ID, Epoch: lu.Epoch}},
 			Reason: "worker aborted",
-		})
+		}); err != nil {
+			fmt.Fprintf(w.cfg.Log, "%s: release of %s failed, leaving it to lease expiry: %v\n", w.cfg.ID, lu.Unit.ID, err)
+			return
+		}
 		fmt.Fprintf(w.cfg.Log, "%s: released %s (aborted)\n", w.cfg.ID, lu.Unit.ID)
 		return
 	}
@@ -388,7 +333,7 @@ func (w *Worker) execute(runCtx, parent context.Context, lu LeasedUnit, sink *co
 		}
 		return
 	}
-	w.complete(runCtx, lu, res)
+	w.complete(ctx, lu, res)
 }
 
 // completionSink collects one lease round's outcomes for batched
@@ -409,8 +354,8 @@ func (w *Worker) startSink(ctx context.Context, capacity int) *completionSink {
 
 // collectCompletions gathers outcomes into batches: the first arrival
 // opens a linger window for siblings to land in, then everything
-// buffered ships as one CompleteBatch. Units that died, were abandoned,
-// or were released never enter the sink, so a batch only ever carries
+// buffered ships as one CompleteBatch. Units that were aborted,
+// abandoned, or released never enter the sink, so a batch only ever carries
 // outcomes this worker still believes it owns.
 func (w *Worker) collectCompletions(ctx context.Context, s *completionSink) {
 	defer close(s.done)
@@ -451,9 +396,9 @@ func (w *Worker) collectCompletions(ctx context.Context, s *completionSink) {
 // hint is honored.
 func (w *Worker) deliverBatch(ctx context.Context, retry *retrier, batch []CompletedUnit) {
 	req := CompleteBatchRequest{Worker: w.cfg.ID, Units: batch}
-	for i := 0; i <= w.cfg.CompleteRetries; i++ {
+	for i := 0; i <= completeRetries; i++ {
 		resp, err := w.cfg.Client.CompleteBatch(ctx, req)
-		if w.dead.Load() || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		if err == nil {
@@ -488,9 +433,9 @@ func (w *Worker) complete(ctx context.Context, lu LeasedUnit, res UnitResult) {
 		Artifact: res.Artifact, Attempts: res.Attempts, DurationMS: res.DurationMS,
 	}
 	retry := w.newRetrier("complete/" + string(lu.Unit.ID))
-	for i := 0; i <= w.cfg.CompleteRetries; i++ {
+	for i := 0; i <= completeRetries; i++ {
 		resp, err := w.cfg.Client.Complete(ctx, req)
-		if w.dead.Load() || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
 		if err == nil {

@@ -3,8 +3,10 @@ package sweepd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,6 +180,45 @@ func TestWorkerAbortReleasesLease(t *testing.T) {
 	lu := leaseOne(t, c, "next")
 	if lu.Epoch != 2 {
 		t.Fatalf("epoch after release = %d, want 2", lu.Epoch)
+	}
+}
+
+// releaseFails is a coordinator client whose Release never gets through.
+type releaseFails struct{ Client }
+
+func (releaseFails) Release(context.Context, ReleaseRequest) (ReleaseResponse, error) {
+	return ReleaseResponse{}, errors.New("connection reset")
+}
+
+// TestWorkerLogsFailedRelease: an abort whose Release fails is logged
+// as a failure, not as a release, and the lease is left to expire.
+func TestWorkerLogsFailedRelease(t *testing.T) {
+	c, err := NewCoordinator(CoordinatorConfig{}, testUnits(1))
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	var log strings.Builder
+	started := make(chan struct{})
+	w := NewWorker(WorkerConfig{
+		ID: "w", Client: releaseFails{loopback(c)}, Log: &log,
+		Run: func(ctx context.Context, u Unit, progress func(string)) UnitResult {
+			close(started)
+			<-ctx.Done()
+			return UnitResult{Error: "aborted"}
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() { errCh <- w.Run(ctx) }()
+
+	<-started
+	cancel()
+	<-errCh
+	if got := log.String(); !strings.Contains(got, "release of u00 failed") || strings.Contains(got, "released u00") {
+		t.Fatalf("worker log does not report the failed release:\n%s", got)
+	}
+	if st := unitState(t, c, "u00"); st.State != UnitLeased {
+		t.Fatalf("after a failed release the unit is %+v, want still leased", st)
 	}
 }
 
