@@ -63,10 +63,9 @@ func ablationBER(opts Options, interval sim.Time, nbits int, mutate func(*system
 		trials = 1
 	}
 	for trial := 0; trial < trials; trial++ {
-		cfg := system.DefaultConfig()
-		cfg.Seed = opts.Seed + uint64(trial)*7919
+		cfg := platform(opts.Seed + uint64(trial)*7919)
 		mutate(&cfg)
-		m := bindMachine(system.New(cfg), opts)
+		m := opts.machine(cfg)
 		c := ufvariation.DefaultConfig()
 		c.Interval = interval
 		c.Lead = 40*sim.Millisecond + sim.Time(trial)*3700*sim.Microsecond
@@ -75,6 +74,7 @@ func ablationBER(opts Options, interval sim.Time, nbits int, mutate func(*system
 		if err != nil {
 			return 0, err
 		}
+		opts.Release(m)
 		tot += nbits
 		errBits += int(res.BER*float64(nbits) + 0.5)
 	}
@@ -151,18 +151,19 @@ func Ablate(opts Options) (AblationResult, error) {
 // ablationFig3Cell measures the stabilized frequency of one traffic
 // thread at hop distance tt, optionally overriding the distance weights.
 func ablationFig3Cell(opts Options, tt int, weights []float64) (float64, error) {
-	cfg := system.DefaultConfig()
-	cfg.Seed = opts.Seed
+	cfg := platform(opts.Seed)
 	if weights != nil {
 		cfg.UFS.DistWeight = weights
 	}
-	m := bindMachine(system.New(cfg), opts)
+	m := opts.machine(cfg)
 	pairs, err := coresWithSliceAt(m, 0, tt, 1)
 	if err != nil {
 		return 0, err
 	}
 	m.Spawn("traffic", 0, pairs[0][0], 0, &workload.Traffic{Slice: pairs[0][1]})
-	return medianFreq(m, 0, 1200*sim.Millisecond, 400*sim.Millisecond), nil
+	f := medianFreq(m, 0, 1200*sim.Millisecond, 400*sim.Millisecond)
+	opts.Release(m)
+	return f, nil
 }
 
 func init() {

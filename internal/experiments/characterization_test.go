@@ -272,27 +272,3 @@ func TestRenderSmoke(t *testing.T) {
 		t.Error("render missing title")
 	}
 }
-
-// TestAllExperimentsRender smoke-runs every registered experiment in quick
-// mode and renders it, so no experiment can rot unnoticed.
-func TestAllExperimentsRender(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry sweep in long mode only")
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.Run(quickOpts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			if err := res.Render(&sb); err != nil {
-				t.Fatal(err)
-			}
-			if sb.Len() == 0 {
-				t.Error("empty render")
-			}
-		})
-	}
-}

@@ -33,11 +33,9 @@ func renderOnce(t *testing.T, id string) []byte {
 // scheduler, dense mesh accounting, scratch-buffer caches). Any
 // behavioural drift from the performance work — a reordered cohort, a
 // float summed in a different order, a skipped sample — shows up here as
-// a byte diff, not as a silently shifted result.
-//
-// Regenerate (only for an intentional behaviour change) by updating the
-// files from the test failure output or re-running the generator in the
-// PR that introduced them.
+// a byte diff, not as a silently shifted result. TestAllExperimentsRender
+// pins the rest of the catalog to the same files; its comment gives the
+// `ufsim -experiment all -quick -out DIR` recipe that regenerates them.
 func TestGoldenOutputs(t *testing.T) {
 	for _, id := range []string{"fig3", "sync", "rel"} {
 		id := id

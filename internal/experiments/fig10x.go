@@ -61,7 +61,7 @@ func Fig10x(opts Options) (Fig10xResult, error) {
 			var errBits, tot int
 			var iv sim.Time
 			for trial := 0; trial < trials; trial++ {
-				m := newMachine(opts.Reseeded(opts.Seed + uint64(vi*100+trial)*104729))
+				m := opts.machine(platform(opts.Seed + uint64(vi*100+trial)*104729))
 				cfg := ufvariation.DefaultConfig()
 				cfg.Interval = 21 * sim.Millisecond
 				if cross {

@@ -42,7 +42,7 @@ func Fig11(opts Options) (Fig11Result, error) {
 		if err := opts.Checkpoint("fig11: trace size=%dKB", size); err != nil {
 			return Fig11Result{}, err
 		}
-		m := newMachine(opts)
+		m := opts.machine(platform(opts.Seed))
 		tr, err := sidechannel.CompressionTrace(m, size, 100*sim.Millisecond, 1200*sim.Millisecond)
 		if err != nil {
 			return Fig11Result{}, err
@@ -73,7 +73,7 @@ func Fig11(opts Options) (Fig11Result, error) {
 		if err := opts.Checkpoint("fig11: classify size=%dKB", size); err != nil {
 			return Fig11Result{}, err
 		}
-		m := newMachine(opts.Reseeded(opts.Seed + uint64(i)*37))
+		m := opts.machine(platform(opts.Seed + uint64(i)*37))
 		tr, err := sidechannel.CompressionTrace(m, size, 100*sim.Millisecond, 1400*sim.Millisecond)
 		if err != nil {
 			return Fig11Result{}, err
@@ -123,24 +123,32 @@ func Fig12(opts Options) (Fig12Result, error) {
 	if err := opts.Checkpoint("fig12: fingerprint %d sites", nsites); err != nil {
 		return Fig12Result{}, err
 	}
-	seedCtr := opts.Seed
-	// Visits run strictly one at a time, so the factory can recycle the
-	// previous visit's machine before building the next.
-	var prev *system.Machine
-	mk := func() *system.Machine {
-		opts.Release(prev)
-		seedCtr++
-		cfg := system.DefaultConfig()
-		cfg.Seed = seedCtr
-		prev = bindMachine(opts.Machines.Get(cfg), opts)
-		return prev
-	}
-	rep, err := sidechannel.Fingerprint(mk, sidechannel.Sites(nsites), train, test)
-	opts.Release(prev)
+	rep, err := fingerprint(opts, nsites, train, test, nil)
 	if err != nil {
 		return Fig12Result{}, err
 	}
 	return Fig12Result{Report: rep}, nil
+}
+
+// fingerprint runs the §5 evaluation with one machine per visit, seeded
+// opts.Seed+1, opts.Seed+2, … and handed to prepare, if non-nil, before
+// the visit. Visits run strictly one at a time, so each visit's machine
+// is released before the next is drawn.
+func fingerprint(opts Options, nsites, train, test int, prepare func(*system.Machine)) (sidechannel.FingerprintReport, error) {
+	seed := opts.Seed
+	var prev *system.Machine
+	visit := func() *system.Machine {
+		opts.Release(prev)
+		seed++
+		prev = opts.machine(platform(seed))
+		if prepare != nil {
+			prepare(prev)
+		}
+		return prev
+	}
+	rep, err := sidechannel.Fingerprint(visit, sidechannel.Sites(nsites), train, test)
+	opts.Release(prev)
+	return rep, err
 }
 
 func init() {

@@ -72,7 +72,7 @@ func Fig3(opts Options) (Fig3Result, error) {
 			if err := opts.Checkpoint("fig3: traffic=%s threads=%d", trafficTypeName(tt), n); err != nil {
 				return Fig3Result{}, err
 			}
-			m := newMachine(opts)
+			m := opts.machine(platform(opts.Seed))
 			if tt < 0 {
 				for i := 0; i < n; i++ {
 					m.Spawn(fmt.Sprintf("l2chase-%d", i), 0, i, 0, workload.L2Chase{})

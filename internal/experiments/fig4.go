@@ -83,7 +83,7 @@ func Fig4(opts Options) (Fig4Result, error) {
 			if err := opts.Checkpoint("fig4: stalled=%d unstalled=%d", s, k); err != nil {
 				return Fig4Result{}, err
 			}
-			m := newMachine(opts)
+			m := opts.machine(platform(opts.Seed))
 			core := 0
 			for i := 0; i < s; i++ {
 				// Each stalling thread chases its local slice.

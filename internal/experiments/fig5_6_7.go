@@ -68,7 +68,7 @@ func rampExperiment(opts Options, title string, startStalling bool) (RampResult,
 	if err := opts.Checkpoint("ramp: %s", title); err != nil {
 		return RampResult{}, err
 	}
-	m := newMachine(opts)
+	m := opts.machine(platform(opts.Seed))
 	switchAt := 40 * sim.Millisecond
 	slice, _ := m.Socket(0).Die.SliceAtHops(0, 0)
 	var w *workload.Phased
@@ -104,7 +104,7 @@ func Fig7(opts Options) (RampResult, error) {
 	if err := opts.Checkpoint("fig7: cross-socket ramp"); err != nil {
 		return RampResult{}, err
 	}
-	m := newMachine(opts)
+	m := opts.machine(platform(opts.Seed))
 	switchAt := 40 * sim.Millisecond
 	slice, _ := m.Socket(0).Die.SliceAtHops(0, 0)
 	m.Spawn("phase", 0, 0, 0, &workload.Phased{Phases: []workload.Phase{

@@ -80,7 +80,7 @@ func Fig8(opts Options) (Fig8Result, error) {
 // fig8Samples pins the uncore at f and collects one 10 ms window of timed
 // LLC loads at hop distance h.
 func fig8Samples(opts Options, h int, f sim.Freq) ([]float64, error) {
-	m := newMachine(opts)
+	m := opts.machine(platform(opts.Seed))
 	s := m.Socket(0)
 	if err := s.MSR.SetRatio(msr.RatioLimit{Min: f, Max: f}); err != nil {
 		return nil, err

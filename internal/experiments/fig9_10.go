@@ -33,7 +33,7 @@ func Fig9(opts Options) (Fig9Result, error) {
 	if err := opts.Checkpoint("fig9: example transmission"); err != nil {
 		return Fig9Result{}, err
 	}
-	m := newMachine(opts)
+	m := opts.machine(platform(opts.Seed))
 	cfg := ufvariation.DefaultConfig()
 	cfg.RecordTraces = true
 	freq := sampleUncore(m, 0, sim.Millisecond, "uncore_ghz")
@@ -110,7 +110,7 @@ func Fig10(opts Options) (Fig10Result, error) {
 			iv := sim.Time(ms) * sim.Millisecond
 			var errBits, totBits int
 			for trial := 0; trial < trials; trial++ {
-				m := newMachine(opts.Reseeded(opts.Seed + uint64(trial)*7919))
+				m := opts.machine(platform(opts.Seed + uint64(trial)*7919))
 				cfg := ufvariation.DefaultConfig()
 				if cross {
 					cfg = cfg.CrossProcessor()

@@ -7,12 +7,13 @@ import (
 	"repro/internal/system"
 )
 
-// TestQuickTrialMemoryCeiling guards the PR's headline memory reduction:
-// a quick trial against a warmed machine pool must stay far below the
-// pre-streaming numbers (sync: 515 MB/trial, rel: 183 MB/trial — the
-// receiver stream and per-trial machine builds). The ceilings are
-// deliberately generous so routine churn passes, but a regression back
-// to O(message) streams or per-trial machine construction trips them.
+// TestQuickTrialMemoryCeiling guards the quick trials' memory: against a
+// warmed machine pool each must stay far below what it allocated with
+// O(message) receiver streams or a machine built per trial (sync
+// 515 MB, rel 183 MB, tab3 882 MB, sec61f 906 MB, ablate 214 MB; pooled
+// they allocate about 16, 8 and 0.3 MB for the last three). The ceilings
+// are deliberately generous so routine churn passes, but a return to
+// per-trial system.New or to O(message) streams trips them.
 func TestQuickTrialMemoryCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full quick trials per experiment")
@@ -23,6 +24,9 @@ func TestQuickTrialMemoryCeiling(t *testing.T) {
 	}{
 		{"sync", 80 << 20},
 		{"rel", 60 << 20},
+		{"tab3", 64 << 20},
+		{"sec61f", 32 << 20},
+		{"ablate", 16 << 20},
 	}
 	for _, tc := range cases {
 		tc := tc

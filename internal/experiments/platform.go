@@ -9,27 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// newMachine builds the default Table 1 platform with the experiment seed,
-// bound to the run's context and step budget. With a pool in the options
-// it recycles a previously released machine instead of building anew.
-func newMachine(opts Options) *system.Machine {
+// platform returns the default Table 1 platform configuration with the
+// given seed; experiments adjust it before drawing a machine from it.
+func platform(seed uint64) system.Config {
 	cfg := system.DefaultConfig()
-	cfg.Seed = opts.Seed
-	return bindMachine(opts.Machines.Get(cfg), opts)
-}
-
-// bindMachine threads the run's cancellation and watchdog into a machine;
-// every experiment machine — including ones built from a custom
-// system.Config — must pass through here so a deadline or budget reaches
-// the engine hot loop.
-func bindMachine(m *system.Machine, opts Options) *system.Machine {
-	if opts.Context != nil {
-		m.Bind(opts.Context)
-	}
-	if opts.MaxEngineSteps > 0 {
-		m.SetStepBudget(opts.MaxEngineSteps)
-	}
-	return m
+	cfg.Seed = seed
+	return cfg
 }
 
 // sampleUncore attaches a sampler recording socket's uncore frequency (in

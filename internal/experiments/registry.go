@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment builds a fresh simulated platform, runs the
+// evaluation. Each trial draws a simulated platform through
+// Options.machine (fresh, or recycled from the run's pool), runs the
 // paper's workload, and renders the same rows/series the paper reports.
 // The per-experiment index lives in DESIGN.md; paper-vs-measured numbers
 // are recorded in EXPERIMENTS.md.
@@ -38,8 +39,8 @@ type Options struct {
 	// of spinning. The budget is per machine, not per experiment.
 	MaxEngineSteps int64
 	// Machines, when non-nil, recycles platform machines across the
-	// run's trials: newMachine draws from the pool and experiments hand
-	// finished machines back through Release. Machine.Reset makes a
+	// run's trials: Options.machine draws from the pool and experiments
+	// hand finished machines back through Release. Machine.Reset makes a
 	// recycled machine bit-identical to a fresh one, so pooling changes
 	// only the allocation profile, never the results. Nil builds a fresh
 	// machine per trial.
@@ -78,13 +79,19 @@ func (o Options) Logf(format string, args ...any) {
 	fmt.Fprintf(o.Log, format+"\n", args...)
 }
 
-// Reseeded returns a copy of o with the seed replaced, keeping the
-// context, log, budget, and machine pool. Experiments that build
-// per-trial machines derive their inner options this way so
-// cancellation still reaches the inner engines.
-func (o Options) Reseeded(seed uint64) Options {
-	o.Seed = seed
-	return o
+// machine returns a trial machine built from cfg — recycled from the
+// run's pool when it holds a compatible one, fresh otherwise — bound to
+// the run's context and step budget, so a deadline or budget reaches the
+// engine hot loop. Every experiment machine comes from here.
+func (o Options) machine(cfg system.Config) *system.Machine {
+	m := o.Machines.Get(cfg)
+	if o.Context != nil {
+		m.Bind(o.Context)
+	}
+	if o.MaxEngineSteps > 0 {
+		m.SetStepBudget(o.MaxEngineSteps)
+	}
+	return m
 }
 
 // Release hands a finished trial machine back to the run's pool; with

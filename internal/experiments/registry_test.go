@@ -1,13 +1,17 @@
-// Registry behavior and the whole-catalog smoke test. This file is an
-// external test package so it can drive the registry through a sweep
-// fleet (internal/sweepd) and internal/runner, which import experiments,
-// without a cycle.
+// Registry behavior, the whole-catalog golden test and the deadline
+// audit. This file is an external test package so it can drive the
+// registry through a sweep fleet (internal/sweepd) and internal/runner,
+// which import experiments, without a cycle.
 package experiments_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +20,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/sweepd"
+	"repro/internal/system"
 )
 
 func TestGetUnknownID(t *testing.T) {
@@ -57,6 +62,83 @@ func TestAllOrderingStable(t *testing.T) {
 			t.Errorf("duplicate experiment id %q", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestAllExperimentsRender pins every catalog report, byte for byte, to
+// testdata/golden_<id>_quick.txt. Each experiment runs once on fresh
+// machines and twice on one shared Pool: the fresh run catches any
+// behavioural drift (a reordered cohort, a float summed in a different
+// order, a skipped sample), and the pooled rounds catch state that
+// Machine.Reset fails to restore (a stale ticker, a dirty cache set, a
+// leftover ratio limit) and scratch state leaked between runs. The
+// second pooled round must find the pool exactly as the first left it:
+// every machine a run draws goes back through Release. -short keeps
+// only the fresh run.
+//
+// Regenerate (only for an intentional behaviour change) with
+//
+//	go run ./cmd/ufsim -experiment all -quick -out DIR
+//
+// and rename each DIR/<id>.txt to testdata/golden_<id>_quick.txt.
+func TestAllExperimentsRender(t *testing.T) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "golden_*_quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]bool{}
+	for _, path := range goldens {
+		golden[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "golden_"), "_quick.txt")] = true
+	}
+	for _, e := range experiments.All() {
+		if !golden[e.ID] {
+			t.Errorf("experiment %q has no golden report", e.ID)
+		}
+		delete(golden, e.ID)
+	}
+	for id := range golden {
+		t.Errorf("golden report for unregistered experiment %q", id)
+	}
+	for _, e := range experiments.All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			path := filepath.Join("testdata", "golden_"+e.ID+"_quick.txt")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			render := func(run string, pool *system.Pool) {
+				t.Helper()
+				opts := experiments.DefaultOptions()
+				opts.Quick, opts.Machines = true, pool
+				res, err := e.Run(opts)
+				if err != nil {
+					t.Fatalf("%s run: %v", run, err)
+				}
+				var got bytes.Buffer
+				if err := res.Render(&got); err != nil {
+					t.Fatalf("%s run: render: %v", run, err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Errorf("%s run diverged from %s\n--- got ---\n%s\n--- want ---\n%s", run, path, got.Bytes(), want)
+				}
+			}
+			render("fresh", nil)
+			if testing.Short() {
+				return
+			}
+			pool := &system.Pool{}
+			render("pooled round 0", pool)
+			idle := pool.Size()
+			render("pooled round 1", pool)
+			if pool.Size() == 0 {
+				t.Error("pool never received a released machine")
+			}
+			if pool.Size() != idle {
+				t.Errorf("pooled round 1 changed the idle pool from %d to %d machines", idle, pool.Size())
+			}
+		})
 	}
 }
 

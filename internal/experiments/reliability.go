@@ -72,7 +72,7 @@ func (r *relResult) Render(w io.Writer) error {
 // attached injector at the given intensity, both deterministic in the
 // experiment seed.
 func relPlatform(opts Options, intensity float64) (*relMachine, error) {
-	m := newMachine(opts)
+	m := opts.machine(platform(opts.Seed))
 	inj := faults.New(faults.DefaultConfig(intensity), m.Rand(0xFA017))
 	if err := inj.Attach(m); err != nil {
 		return nil, err

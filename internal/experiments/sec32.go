@@ -31,7 +31,7 @@ func Sec32(opts Options) (Sec32Result, error) {
 		return Sec32Result{}, err
 	}
 	measure := func(mk func(m *system.Machine) system.Workload) float64 {
-		m := newMachine(opts)
+		m := opts.machine(platform(opts.Seed))
 		t := m.Spawn("probe", 0, 0, 0, mk(m))
 		m.Run(sim.Second)
 		ratio := t.Core.Total.StallRatio()

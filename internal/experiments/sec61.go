@@ -65,7 +65,7 @@ func Sec61(opts Options) (Sec61Result, error) {
 		if err := opts.Checkpoint("sec61: countermeasure=%s", c.name); err != nil {
 			return Sec61Result{}, err
 		}
-		m := newMachine(opts)
+		m := opts.machine(platform(opts.Seed))
 		// Countermeasures deploy on every socket, as system software
 		// would.
 		for s := range m.Sockets() {

@@ -81,7 +81,7 @@ func Sec61e(opts Options) (Sec61eResult, error) {
 	}
 	meter := power.NewMeter(power.Default())
 	energy := func(cm defense.Countermeasure) (float64, error) {
-		m := newMachine(opts)
+		m := opts.machine(platform(opts.Seed))
 		for s := range m.Sockets() {
 			if err := defense.Deploy(cm, m, s, 0); err != nil {
 				return 0, err
@@ -132,7 +132,7 @@ func Sec61e(opts Options) (Sec61eResult, error) {
 		}
 		if c.name == "fixed-frequency" {
 			// Re-measure with the max-frequency pin.
-			m := newMachine(opts)
+			m := opts.machine(platform(opts.Seed))
 			for s := range m.Sockets() {
 				if err := m.Socket(s).MSR.SetRatio(maxPin()); err != nil {
 					return Sec61eResult{}, err

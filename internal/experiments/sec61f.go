@@ -40,22 +40,16 @@ func Sec61f(opts Options) (Sec61fResult, error) {
 		if err := opts.Checkpoint("sec61f: fingerprint restricted=%v", restrict); err != nil {
 			return sidechannel.FingerprintReport{}, err
 		}
-		seed := opts.Seed
-		mk := func() *system.Machine {
-			seed++
-			cfg := system.DefaultConfig()
-			cfg.Seed = seed
-			m := bindMachine(system.New(cfg), opts)
-			if restrict {
-				for s := range m.Sockets() {
-					if err := defense.Deploy(defense.RestrictedRange, m, s, 0); err != nil {
-						panic(err)
-					}
+		if !restrict {
+			return fingerprint(opts, nsites, train, test, nil)
+		}
+		return fingerprint(opts, nsites, train, test, func(m *system.Machine) {
+			for s := range m.Sockets() {
+				if err := defense.Deploy(defense.RestrictedRange, m, s, 0); err != nil {
+					panic(err)
 				}
 			}
-			return m
-		}
-		return sidechannel.Fingerprint(mk, sidechannel.Sites(nsites), train, test)
+		})
 	}
 	def, err := eval(false)
 	if err != nil {

@@ -145,7 +145,7 @@ func runSync(opts Options) (Result, error) {
 			}
 			row := syncSkewRow{PPM: ppm, Bits: n}
 			for _, track := range []bool{false, true} {
-				m := newMachine(opts)
+				m := opts.machine(platform(opts.Seed))
 				cfg := base
 				cfg.SkewPPM = ppm
 				cfg.Track = track
@@ -174,7 +174,7 @@ func runSync(opts Options) (Result, error) {
 	// calibration preamble; the untracked contrast row shows what the
 	// fixed-window decode makes of the same offset.
 	offsetLeg := func(offsetBits float64, track bool) error {
-		m := newMachine(opts)
+		m := opts.machine(platform(opts.Seed))
 		cfg := base
 		cfg.OnlineCalibration = true
 		cfg.Track = track
@@ -217,7 +217,7 @@ func runSync(opts Options) (Result, error) {
 		payload[i] = byte(prng.IntN(256))
 	}
 	transportLeg := func(label string, track bool) error {
-		m := newMachine(opts)
+		m := opts.machine(platform(opts.Seed))
 		inj := faults.New(faults.Config{
 			StartOffsetBits:   2.5,
 			WanderAmpPPM:      1500,

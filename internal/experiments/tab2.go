@@ -83,7 +83,7 @@ func Tab2(opts Options) (Tab2Result, error) {
 			iv := sim.Time(ms) * sim.Millisecond
 			var errBits, totBits int
 			for trial := 0; trial < trials; trial++ {
-				m := newMachine(opts.Reseeded(opts.Seed + uint64(trial)*104729 + uint64(n)))
+				m := opts.machine(platform(opts.Seed + uint64(trial)*104729 + uint64(n)))
 				SpawnStressors(m, 0, n)
 				cfg := ufvariation.DefaultConfig()
 				cfg.UseTrafficLoop = true

@@ -102,8 +102,15 @@ func tab3Bits(opts Options) int {
 	return 48
 }
 
-// runUFVariationUnder evaluates UF-variation in a Table 3 environment.
-func runUFVariationUnder(m *system.Machine, env defense.Env, bits channel.Bits) (channel.Result, error) {
+// ufVariationRow is Table 3's last row: UF-variation through the real
+// channel implementation, on the mesh.
+type ufVariationRow struct{}
+
+func (ufVariationRow) Name() string            { return "UF-variation" }
+func (ufVariationRow) Interconnect() mesh.Kind { return mesh.KindMesh }
+
+// Run evaluates UF-variation in a Table 3 environment.
+func (ufVariationRow) Run(m *system.Machine, env defense.Env, bits channel.Bits) (channel.Result, error) {
 	pl := env.Placement()
 	cfg := ufvariation.DefaultConfig()
 	cfg.Sender = ufvariation.Placement{Socket: pl.SenderSocket, Core: pl.SenderCore}
@@ -129,48 +136,27 @@ func runUFVariationUnder(m *system.Machine, env defense.Env, bits channel.Bits) 
 // carry the payload (BER < 0.25).
 func Tab3(opts Options) (Tab3Result, error) {
 	res := Tab3Result{Columns: Tab3Columns, Cells: map[string][]Tab3Cell{}}
-	for _, ch := range baselines.All() {
+	for _, ch := range append(baselines.All(), ufVariationRow{}) {
 		res.Rows = append(res.Rows, ch.Name())
 		for _, col := range Tab3Columns {
 			if err := opts.Checkpoint("tab3: %s under %s", ch.Name(), col); err != nil {
 				return Tab3Result{}, err
 			}
 			env := tab3Env(col)
-			m := tab3Machine(opts, ch.Interconnect())
+			cfg := platform(opts.Seed)
+			cfg.Interconnect = ch.Interconnect()
+			m := opts.machine(cfg)
 			env.Apply(m)
 			bits := channel.RandomBits(m.Rand(sim.HashString(ch.Name()+col)), tab3Bits(opts))
 			r, err := ch.Run(m, env, bits)
 			if err != nil {
 				return Tab3Result{}, fmt.Errorf("%s under %s: %w", ch.Name(), col, err)
 			}
+			opts.Release(m)
 			res.Cells[ch.Name()] = append(res.Cells[ch.Name()], Tab3Cell{BER: r.BER, Functional: r.Functional()})
 		}
 	}
-	// UF-variation row, through the real channel implementation.
-	res.Rows = append(res.Rows, "UF-variation")
-	for _, col := range Tab3Columns {
-		if err := opts.Checkpoint("tab3: UF-variation under %s", col); err != nil {
-			return Tab3Result{}, err
-		}
-		env := tab3Env(col)
-		m := tab3Machine(opts, mesh.KindMesh)
-		env.Apply(m)
-		bits := channel.RandomBits(m.Rand(sim.HashString("UF-variation"+col)), tab3Bits(opts))
-		r, err := runUFVariationUnder(m, env, bits)
-		if err != nil {
-			return Tab3Result{}, fmt.Errorf("UF-variation under %s: %w", col, err)
-		}
-		res.Cells["UF-variation"] = append(res.Cells["UF-variation"], Tab3Cell{BER: r.BER, Functional: r.Functional()})
-	}
 	return res, nil
-}
-
-// tab3Machine builds a platform with the requested interconnect.
-func tab3Machine(opts Options, kind mesh.Kind) *system.Machine {
-	cfg := system.DefaultConfig()
-	cfg.Seed = opts.Seed
-	cfg.Interconnect = kind
-	return bindMachine(system.New(cfg), opts)
 }
 
 func init() {
