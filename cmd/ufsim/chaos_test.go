@@ -114,8 +114,18 @@ func (s ChaosSpec) Execute(ctx context.Context, seed uint64, stepBudget int64) (
 
 // spinEngine drives a private engine for ticks steps (0 = unbounded: a
 // picosecond ticker across an enormous window, the runaway-simulation
-// shape).
-func (s ChaosSpec) spinEngine(ctx context.Context, ticks int64, stepBudget int64) (string, error) {
+// shape). The engine is bound to ctx, so cancellation and the step budget
+// abort Run; the abort's cause is the returned error.
+func (s ChaosSpec) spinEngine(ctx context.Context, ticks int64, stepBudget int64) (msg string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cause, ok := sim.AbortCause(r)
+			if !ok {
+				panic(r)
+			}
+			err = cause
+		}
+	}()
 	e := sim.NewEngine()
 	fired := int64(0)
 	e.Add(&sim.Ticker{Name: "chaos-" + s.ID, Period: sim.Picosecond, Fn: func(sim.Time) { fired++ }})
@@ -124,9 +134,8 @@ func (s ChaosSpec) spinEngine(ctx context.Context, ticks int64, stepBudget int64
 		e.SetStepBudget(stepBudget)
 		window = 100 * 24 * 3600 * sim.Second
 	}
-	if err := e.RunContext(ctx, window); err != nil {
-		return "", err
-	}
+	e.Bind(ctx)
+	e.Run(window)
 	return fmt.Sprintf("chaos %s: completed %d ticks", s.ID, fired), nil
 }
 

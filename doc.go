@@ -20,8 +20,8 @@
 //     holds the ten prior channels of Table 3; internal/defense the
 //     mitigations; internal/sidechannel the §5 attacks.
 //   - internal/experiments regenerates every table and figure; cmd/ufsim
-//     is the command-line front end; the benchmarks in this package
-//     (bench_test.go) time one scaled run of each experiment.
+//     is the command-line front end; BenchmarkExperiments in this
+//     package (bench_test.go) times one quick run of every catalog entry.
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results.

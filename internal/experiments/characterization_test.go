@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -256,19 +255,5 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Title == "" || e.Run == nil {
 			t.Errorf("experiment %q incomplete", e.ID)
 		}
-	}
-}
-
-func TestRenderSmoke(t *testing.T) {
-	res, err := Fig5(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := res.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "Figure 5") {
-		t.Error("render missing title")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,14 +68,15 @@ func TestAllOrderingStable(t *testing.T) {
 
 // TestAllExperimentsRender pins every catalog report, byte for byte, to
 // testdata/golden_<id>_quick.txt. Each experiment runs once on fresh
-// machines and twice on one shared Pool: the fresh run catches any
-// behavioural drift (a reordered cohort, a float summed in a different
-// order, a skipped sample), and the pooled rounds catch state that
-// Machine.Reset fails to restore (a stale ticker, a dirty cache set, a
-// leftover ratio limit) and scratch state leaked between runs. The
-// second pooled round must find the pool exactly as the first left it:
-// every machine a run draws goes back through Release. -short keeps
-// only the fresh run.
+// machines, the experiments in parallel, and the whole catalog runs twice
+// more, in All() order, on one Pool shared by every experiment. The fresh
+// runs catch any behavioural drift (a reordered cohort, a float summed in
+// a different order, a skipped sample). The pooled rounds catch state
+// that Machine.Reset fails to restore (a stale ticker, a dirty cache set,
+// a leftover ratio limit), also when only another experiment's run leaves
+// it behind, and scratch state leaked between runs. The second pooled
+// round must find the pool exactly as the first left it: every machine a
+// run draws goes back through Release. -short keeps only the fresh runs.
 //
 // Regenerate (only for an intentional behaviour change) with
 //
@@ -99,45 +101,52 @@ func TestAllExperimentsRender(t *testing.T) {
 	for id := range golden {
 		t.Errorf("golden report for unregistered experiment %q", id)
 	}
+	render := func(t *testing.T, e experiments.Experiment, run string, pool *system.Pool) {
+		t.Helper()
+		path := filepath.Join("testdata", "golden_"+e.ID+"_quick.txt")
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := experiments.DefaultOptions()
+		opts.Quick, opts.Machines = true, pool
+		res, err := e.Run(opts)
+		if err != nil {
+			t.Errorf("%s %s run: %v", e.ID, run, err)
+			return
+		}
+		var got bytes.Buffer
+		if err := res.Render(&got); err != nil {
+			t.Errorf("%s %s run: render: %v", e.ID, run, err)
+		} else if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s %s run diverged from %s\n--- got ---\n%s\n--- want ---\n%s", e.ID, run, path, got.Bytes(), want)
+		}
+	}
+	if !testing.Short() {
+		// Registered before the fresh runs: the serial walk is the long
+		// pole.
+		t.Run("pooled", func(t *testing.T) {
+			t.Parallel()
+			pool := &system.Pool{}
+			idle := 0
+			for round := 0; round < 2; round++ {
+				for _, e := range experiments.All() {
+					render(t, e, fmt.Sprintf("pooled round %d", round), pool)
+				}
+				switch {
+				case pool.Size() == 0:
+					t.Errorf("pooled round %d: pool never received a released machine", round)
+				case round == 1 && pool.Size() != idle:
+					t.Errorf("pooled round 1 changed the idle pool from %d to %d machines", idle, pool.Size())
+				}
+				idle = pool.Size()
+			}
+		})
+	}
 	for _, e := range experiments.All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			path := filepath.Join("testdata", "golden_"+e.ID+"_quick.txt")
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			render := func(run string, pool *system.Pool) {
-				t.Helper()
-				opts := experiments.DefaultOptions()
-				opts.Quick, opts.Machines = true, pool
-				res, err := e.Run(opts)
-				if err != nil {
-					t.Fatalf("%s run: %v", run, err)
-				}
-				var got bytes.Buffer
-				if err := res.Render(&got); err != nil {
-					t.Fatalf("%s run: render: %v", run, err)
-				}
-				if !bytes.Equal(got.Bytes(), want) {
-					t.Errorf("%s run diverged from %s\n--- got ---\n%s\n--- want ---\n%s", run, path, got.Bytes(), want)
-				}
-			}
-			render("fresh", nil)
-			if testing.Short() {
-				return
-			}
-			pool := &system.Pool{}
-			render("pooled round 0", pool)
-			idle := pool.Size()
-			render("pooled round 1", pool)
-			if pool.Size() == 0 {
-				t.Error("pool never received a released machine")
-			}
-			if pool.Size() != idle {
-				t.Errorf("pooled round 1 changed the idle pool from %d to %d machines", idle, pool.Size())
-			}
+			render(t, e, "fresh", nil)
 		})
 	}
 }

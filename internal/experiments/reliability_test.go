@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -61,33 +60,12 @@ func TestReliabilityAcceptance(t *testing.T) {
 }
 
 // TestReliabilityReproducible: the sweep is deterministic in the seed —
-// the property every recorded EXPERIMENTS.md number relies on.
+// the property every recorded EXPERIMENTS.md number relies on. It
+// compares the whole result struct at full float precision; the report
+// TestAllExperimentsRender pins prints each rate to 1–4 decimals.
 func TestReliabilityReproducible(t *testing.T) {
 	a, b := runRel(t), runRel(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different sweeps:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestReliabilityRender(t *testing.T) {
-	res := runRel(t)
-	var sb strings.Builder
-	if err := res.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"intensity", "raw BER", "delivery", "goodput"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-	if lines := strings.Count(out, "\n"); lines < len(res.Rows)+4 {
-		t.Errorf("render too short (%d lines)", lines)
-	}
-}
-
-func TestReliabilityRegistered(t *testing.T) {
-	if _, ok := Get("rel"); !ok {
-		t.Fatal("experiment \"rel\" not registered")
 	}
 }

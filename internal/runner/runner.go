@@ -5,8 +5,9 @@
 //   - Deadlines: each attempt runs under its own context.Context with an
 //     optional wall-clock timeout; cancellation reaches the simulation
 //     hot loop because every machine an experiment builds is bound to the
-//     run context (sim.Engine.RunContext), and an optional per-machine
-//     step budget converts runaway engines into typed errors.
+//     run context (sim.Engine.Bind): a cancelled context or a tripped
+//     per-machine step budget aborts Run with a sim.Abort panic, which
+//     RunOne recovers into its typed cause (sim.AbortCause).
 //   - Panic isolation: a panicking experiment is recovered in its own
 //     goroutine, recorded with its stack, and does not kill the caller.
 //   - Bounded retry with reseeding: a failed run is retried up to

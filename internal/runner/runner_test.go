@@ -17,14 +17,16 @@ func fixture(id string, run func(o experiments.Options) (experiments.Result, err
 	return experiments.Experiment{ID: id, Title: "fixture " + id, Run: run}
 }
 
-// spin drives an engine with a picosecond ticker across a 100-day
-// window: effectively unbounded tick work that only the context or the
-// step budget stops.
+// spin drives an engine bound to the run context with a picosecond
+// ticker across a 100-day window: effectively unbounded tick work that
+// only the context or the step budget stops, by aborting Run.
 func spin(o experiments.Options) (experiments.Result, error) {
 	e := sim.NewEngine()
 	e.Add(&sim.Ticker{Name: "spin", Period: sim.Picosecond, Fn: func(sim.Time) {}})
 	e.SetStepBudget(o.MaxEngineSteps)
-	return nil, e.RunContext(o.Ctx(), 100*24*3600*sim.Second)
+	e.Bind(o.Ctx())
+	e.Run(100 * 24 * 3600 * sim.Second)
+	return nil, nil
 }
 
 // The deadline must be honored promptly even when the experiment never

@@ -39,11 +39,12 @@ type Ticker struct {
 // Engine.Pause.
 func (t *Ticker) Paused() bool { return t.paused }
 
-// ErrBudgetExceeded is returned (wrapped in a *BudgetError) by RunContext
-// when the engine's step watchdog trips. A runaway simulation — a ticker
-// misconfigured to a tiny period, or a run window far longer than intended
-// — otherwise spins for an unbounded number of ticks; the budget converts
-// that hang into a typed, inspectable error.
+// ErrBudgetExceeded is the cause (wrapped in a *BudgetError) carried by
+// the Abort that Run panics with when the engine's step watchdog trips.
+// A runaway simulation — a ticker misconfigured to a tiny period, or a
+// run window far longer than intended — otherwise spins for an unbounded
+// number of ticks; the budget converts that hang into a typed,
+// inspectable error.
 var ErrBudgetExceeded = errors.New("sim: engine step budget exceeded")
 
 // BudgetError reports a tripped step watchdog. It matches
@@ -81,8 +82,8 @@ func AbortCause(r any) (error, bool) {
 	return nil, false
 }
 
-// ctxCheckEvery is how many ticks RunContext fires between context
-// checks. Cancellation is therefore honored within this many engine
+// ctxCheckEvery is how many ticks Run fires between checks of the bound
+// context. Cancellation is therefore honored within this many engine
 // steps of the deadline — a bounded, documented lag, chosen so the
 // atomic load on the context does not show up in the hot loop.
 const ctxCheckEvery = 64
@@ -155,14 +156,16 @@ func (e *Engine) Steps() int64 { return e.steps }
 
 // Bind installs a context consulted by Run: when ctx is cancelled (or the
 // step budget trips) mid-run, Run panics with an Abort carrying the
-// cause. Binding lets a supervisor cut short deeply nested simulation
-// code that calls Run through error-free interfaces; code that can return
-// errors should prefer RunContext. A nil ctx unbinds.
+// cause, and the engine stops at the last fully dispatched instant, so a
+// later run resumes without double-firing. Binding is the one
+// cancellation entry point: it lets a supervisor cut short deeply nested
+// simulation code that calls Run through error-free interfaces, and the
+// supervisor recovers the cause with AbortCause. A nil ctx unbinds.
 func (e *Engine) Bind(ctx context.Context) { e.ctx = ctx }
 
 // SetStepBudget arms the watchdog: once the lifetime tick count reaches
-// budget, RunContext returns a *BudgetError (and Run panics with it,
-// wrapped in an Abort). A non-positive budget disarms the watchdog.
+// budget, Run panics with an Abort wrapping a *BudgetError. A
+// non-positive budget disarms the watchdog.
 func (e *Engine) SetStepBudget(budget int64) { e.budget = budget }
 
 // Add registers a ticker. It panics on a non-positive period, because a
@@ -387,20 +390,7 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunContext advances virtual time by d like Run, but checks ctx every
-// ctxCheckEvery ticks and the step watchdog on every tick. On
-// cancellation it returns ctx.Err(); on a tripped watchdog it returns a
-// *BudgetError (matching ErrBudgetExceeded). Either way the engine stops
-// at the last fully dispatched instant, so a subsequent run resumes
-// without double-firing.
-func (e *Engine) RunContext(ctx context.Context, d Time) error {
-	if d < 0 {
-		panic("sim: cannot run the engine backwards")
-	}
-	return e.runUntil(ctx, e.now+d)
-}
-
-// runUntil is the dispatch loop shared by Run, RunUntil, and RunContext.
+// runUntil is the dispatch loop shared by Run and RunUntil.
 // Each iteration reads the earliest deadline off the heap top, pops the
 // same-instant cohort (already in priority order — no sorting, no scan of
 // unrelated tickers), fires it, and re-pushes the advanced tickers.

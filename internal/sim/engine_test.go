@@ -2,458 +2,511 @@ package sim
 
 import (
 	"context"
-	"errors"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 )
 
-func TestEngineFiresInWindow(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	e.Add(&Ticker{Name: "a", Period: 10 * Millisecond, Fn: func(now Time) { got = append(got, now) }})
-	e.Run(35 * Millisecond)
-	want := []Time{10 * Millisecond, 20 * Millisecond, 30 * Millisecond}
-	if len(got) != len(want) {
-		t.Fatalf("fired %d ticks, want %d", len(got), len(want))
+// The engine is checked against refEngine, a reference that visits every
+// instant of the unit grid and fires the tickers due there in (priority,
+// registration) order: the sorted-slice dispatcher the heap replaced,
+// with the Pause/Resume contract. A script of calls — Add, Pause,
+// Resume, Run, RunUntil, SetStepBudget, Bind, cancel, Reset, and the same
+// calls issued from inside a ticker's Fn — drives both; after every
+// top-level call the firing trace, Now, Steps, NextDeadline, each
+// ticker's Paused flag and any abort cause must agree. Scripts address
+// engSlots tickers, count time in engUnit and stop at engHorizon units.
+// FuzzEngine decodes scripts from bytes; engineSeeds holds the named
+// scripts that plain `go test` replays.
+const (
+	engSlots   = 8
+	engUnit    = Millisecond
+	engHorizon = 4096
+	engMaxOps  = 64
+)
+
+type engKind byte
+
+const (
+	opAdd      engKind = iota // slot a, period b%16+1, phase c%16, priority (c>>4)%4-1
+	opPause                   // slot a
+	opResume                  // slot a
+	opRun                     // Run(a|b<<8 units), clipped at the horizon
+	opRunUntil                // RunUntil(a|b<<8 units, mod the horizon); skipped if in the past
+	opBudget                  // SetStepBudget(Steps()+(a|b<<8)); 0 disarms
+	opBind                    // a odd: bind a fresh cancellable context; even: unbind
+	opCancel                  // cancel the last bound context
+	opReset                   // Reset
+	opHook                    // slot a's firing number b%8 (0: every firing) issues the next op from its Fn
+	engKinds
+)
+
+type engOp struct {
+	kind    engKind
+	a, b, c byte
+}
+
+func decodeEngine(data []byte) []engOp {
+	var ops []engOp
+	for i := 0; i+4 <= len(data) && len(ops) < engMaxOps; i += 4 {
+		ops = append(ops, engOp{engKind(data[i] % byte(engKinds)), data[i+1], data[i+2], data[i+3]})
 	}
-	for i := range want {
+	return ops
+}
+
+// engineAPI is the surface a script drives: *Engine itself, or the
+// reference.
+type engineAPI interface {
+	Add(t *Ticker)
+	Pause(t *Ticker)
+	Resume(t *Ticker)
+	Run(d Time)
+	RunUntil(t Time)
+	SetStepBudget(n int64)
+	Bind(ctx context.Context)
+	Reset()
+	Now() Time
+	Steps() int64
+	NextDeadline() (Time, bool)
+}
+
+// abortCause runs f and returns the cause of the Abort it panicked with.
+func abortCause(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			cause, ok := AbortCause(r)
+			if !ok {
+				panic(r)
+			}
+			err = cause
+		}
+	}()
+	f()
+	return nil
+}
+
+// Where the reference holds a ticker.
+const (
+	refOff     = iota // paused, or dropped by Reset
+	refHeld           // scheduled at next
+	refPending        // added or resumed mid-instant: scheduled once it completes
+	refCohort         // due at the instant being dispatched
+)
+
+type refTicker struct {
+	next  Time
+	seq   uint64
+	where int
+}
+
+// refEngine is the reference engine. It keeps a ticker's pause in the
+// ticker's own flag, which Paused reports, and all else in tk.
+type refEngine struct {
+	tk            map[*Ticker]*refTicker
+	seq           uint64
+	at            Time
+	nsteps, limit int64
+	firing        bool
+	ctx           context.Context
+}
+
+func (m *refEngine) Add(t *Ticker) {
+	where := refHeld
+	if m.firing {
+		where = refPending
+	}
+	t.paused = false
+	m.tk[t] = &refTicker{next: m.at + t.Phase + t.Period, seq: m.seq, where: where}
+	m.seq++
+}
+
+func (m *refEngine) Pause(t *Ticker) {
+	if r := m.tk[t]; !t.paused {
+		t.paused = true
+		if r.where != refCohort {
+			r.where = refOff
+		}
+	}
+}
+
+func (m *refEngine) Resume(t *Ticker) {
+	r := m.tk[t]
+	if !t.paused {
+		return
+	}
+	t.paused = false
+	for r.next <= m.at {
+		r.next += t.Period
+	}
+	switch {
+	case r.where == refCohort: // re-armed when the instant completes
+	case m.firing:
+		r.where = refPending
+	default:
+		r.where = refHeld
+	}
+}
+
+func (m *refEngine) Run(d Time) { m.RunUntil(m.at + d) }
+
+func (m *refEngine) RunUntil(end Time) {
+	if err := m.runUntil(end); err != nil {
+		panic(Abort{Err: err})
+	}
+}
+
+func (m *refEngine) runUntil(end Time) error {
+	ctx := m.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	sinceCheck := 0
+	for at := m.at + engUnit; at <= end; at += engUnit {
+		var cohort []*Ticker
+		for t, r := range m.tk {
+			if r.where == refHeld && r.next == at {
+				r.where = refCohort
+				cohort = append(cohort, t)
+			}
+		}
+		if len(cohort) == 0 {
+			continue
+		}
+		sort.Slice(cohort, func(x, y int) bool {
+			a, b := cohort[x], cohort[y]
+			return a.Priority < b.Priority || a.Priority == b.Priority && m.tk[a].seq < m.tk[b].seq
+		})
+		m.at, m.firing = at, true
+		for _, t := range cohort {
+			if !t.paused {
+				t.Fn(at)
+				m.tk[t].next = at + t.Period
+				m.nsteps++
+				sinceCheck++
+			}
+		}
+		m.firing = false
+		for t, r := range m.tk {
+			if r.where == refPending || r.where == refCohort && !t.paused {
+				r.where = refHeld
+			} else if r.where == refCohort {
+				r.where = refOff
+			}
+		}
+		if m.limit > 0 && m.nsteps >= m.limit {
+			return &BudgetError{Steps: m.nsteps, Budget: m.limit, Now: m.at}
+		}
+		if sinceCheck >= ctxCheckEvery {
+			sinceCheck = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	m.at = end
+	return nil
+}
+
+func (m *refEngine) Reset() {
+	for _, r := range m.tk {
+		r.where = refOff
+	}
+	m.at, m.seq, m.nsteps, m.limit, m.firing, m.ctx = 0, 0, 0, 0, false, nil
+}
+
+func (m *refEngine) SetStepBudget(n int64)    { m.limit = n }
+func (m *refEngine) Bind(ctx context.Context) { m.ctx = ctx }
+func (m *refEngine) Now() Time                { return m.at }
+func (m *refEngine) Steps() int64             { return m.nsteps }
+
+func (m *refEngine) NextDeadline() (next Time, ok bool) {
+	for _, r := range m.tk {
+		if r.where == refHeld && (!ok || r.next < next) {
+			next, ok = r.next, true
+		}
+	}
+	return next, ok
+}
+
+// enginePlayer runs a script against one engine and records what it
+// observes. Calls the engine's contract leaves undefined are skipped,
+// identically for both engines: Add of a ticker that is still held (or
+// paused mid-instant), Pause/Resume of one not added since the last
+// Reset, and Run, RunUntil and Reset from inside a Fn.
+type enginePlayer struct {
+	api    engineAPI
+	tk     [engSlots]*Ticker
+	trace  []string
+	fired  [engSlots]int
+	added  [engSlots]bool
+	hooks  map[[2]int][]engOp
+	inFn   int
+	cancel context.CancelFunc
+}
+
+func newEnginePlayer(api engineAPI) *enginePlayer {
+	p := &enginePlayer{api: api, hooks: map[[2]int][]engOp{}, cancel: func() {}}
+	for i := range p.tk {
+		p.tk[i] = &Ticker{Name: fmt.Sprint("t", i), Fn: func(at Time) { p.fire(i, at) }}
+	}
+	return p
+}
+
+func (p *enginePlayer) fire(slot int, at Time) {
+	p.fired[slot]++
+	p.trace = append(p.trace, fmt.Sprintf("t%d@%v", slot, at))
+	p.inFn++
+	for _, n := range []int{p.fired[slot], 0} {
+		for _, op := range p.hooks[[2]int{slot, n}] {
+			p.do(op)
+		}
+	}
+	p.inFn--
+}
+
+// do issues one call and returns its abort cause, if any.
+func (p *enginePlayer) do(op engOp) error {
+	slot := int(op.a % engSlots)
+	wide := Time(op.a) | Time(op.b)<<8
+	switch op.kind {
+	case opAdd:
+		t := p.tk[slot]
+		if p.added[slot] && (!t.Paused() || p.inFn > 0) {
+			return nil
+		}
+		p.added[slot] = true
+		t.Period, t.Phase, t.Priority = Time(op.b%16+1)*engUnit, Time(op.c%16)*engUnit, int(op.c>>4)%4-1
+		p.api.Add(t)
+	case opPause, opResume:
+		if !p.added[slot] {
+			return nil
+		}
+		if op.kind == opPause {
+			p.api.Pause(p.tk[slot])
+		} else {
+			p.api.Resume(p.tk[slot])
+		}
+	case opRun:
+		if p.inFn == 0 {
+			return abortCause(func() { p.api.Run(min(wide*engUnit, engHorizon*engUnit-p.api.Now())) })
+		}
+	case opRunUntil:
+		if at := wide % (engHorizon + 1) * engUnit; p.inFn == 0 && at >= p.api.Now() {
+			return abortCause(func() { p.api.RunUntil(at) })
+		}
+	case opBudget:
+		if wide == 0 {
+			p.api.SetStepBudget(0)
+		} else {
+			p.api.SetStepBudget(p.api.Steps() + int64(wide))
+		}
+	case opBind:
+		var ctx context.Context
+		if op.a%2 == 1 {
+			ctx, p.cancel = context.WithCancel(context.Background())
+		}
+		p.api.Bind(ctx)
+	case opCancel:
+		p.cancel()
+	case opReset:
+		if p.inFn == 0 {
+			p.api.Reset()
+			p.added = [engSlots]bool{}
+		}
+	}
+	return nil
+}
+
+// play runs the script and returns one observation line per top-level
+// call, each with the firings it caused.
+func (p *enginePlayer) play(ops []engOp) []string {
+	var obs []string
+	for i := 0; i < len(ops); i++ {
+		op := ops[i]
+		var err error
+		if op.kind == opHook {
+			if i++; i < len(ops) && ops[i].kind != opHook {
+				key := [2]int{int(op.a % engSlots), int(op.b % 8)}
+				p.hooks[key] = append(p.hooks[key], ops[i])
+			}
+		} else {
+			err = p.do(op)
+		}
+		next, ok := p.api.NextDeadline()
+		var paused []int
+		for s, t := range p.tk {
+			if t.Paused() {
+				paused = append(paused, s)
+			}
+		}
+		obs = append(obs, fmt.Sprintf("%v: fired [%s] now=%v steps=%d next=%v,%v paused=%v err=%v",
+			op, strings.Join(p.trace, " "), p.api.Now(), p.api.Steps(), next, ok, paused, err))
+		p.trace = p.trace[:0]
+	}
+	p.cancel()
+	return obs
+}
+
+func checkEngine(t *testing.T, ops []engOp) {
+	t.Helper()
+	got := newEnginePlayer(NewEngine()).play(ops)
+	want := newEnginePlayer(&refEngine{tk: map[*Ticker]*refTicker{}}).play(ops)
+	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("tick %d at %v, want %v", i, got[i], want[i])
-		}
-	}
-	if e.Now() != 35*Millisecond {
-		t.Errorf("Now() = %v, want 35ms", e.Now())
-	}
-	if e.Steps() != 3 {
-		t.Errorf("Steps() = %d, want 3", e.Steps())
-	}
-}
-
-func TestEnginePriorityOrderAtSameInstant(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Add(&Ticker{Name: "late", Period: Millisecond, Priority: 10, Fn: func(Time) { order = append(order, "late") }})
-	e.Add(&Ticker{Name: "early", Period: Millisecond, Priority: -10, Fn: func(Time) { order = append(order, "early") }})
-	e.Run(Millisecond)
-	if len(order) != 2 || order[0] != "early" || order[1] != "late" {
-		t.Fatalf("firing order = %v, want [early late]", order)
-	}
-}
-
-// A ticker added from inside a tick callback must join the schedule with
-// its first tick at registering-instant + Phase + Period, must not fire at
-// the instant that registered it, and must not disturb the dispatch of
-// the instant in progress (the old implementation re-sorted the ticker
-// slice mid-iteration, which could skip or double-fire colliding tickers).
-func TestEngineAddDuringRun(t *testing.T) {
-	e := NewEngine()
-	var childTicks []Time
-	added := false
-	e.Add(&Ticker{Name: "parent", Period: 10 * Millisecond, Fn: func(now Time) {
-		if !added {
-			added = true
-			// Highest urgency: would sort to the front of the slice if
-			// inserted immediately.
-			e.Add(&Ticker{Name: "child", Period: 3 * Millisecond, Priority: -100, Fn: func(at Time) {
-				childTicks = append(childTicks, at)
-			}})
-		}
-	}})
-	e.Run(20 * Millisecond)
-	// Registered at t=10ms, so the child ticks at 13, 16, 19 ms.
-	want := []Time{13 * Millisecond, 16 * Millisecond, 19 * Millisecond}
-	if len(childTicks) != len(want) {
-		t.Fatalf("child fired %d times (%v), want %d", len(childTicks), childTicks, len(want))
-	}
-	for i := range want {
-		if childTicks[i] != want[i] {
-			t.Errorf("child tick %d at %v, want %v", i, childTicks[i], want[i])
+			t.Fatalf("call %d diverged from the reference\nengine:    %s\nreference: %s\nscript: %v", i, got[i], want[i], ops)
 		}
 	}
 }
 
-// Colliding tickers must all fire exactly once per shared instant even
-// when one of them registers a new high-priority ticker mid-dispatch.
-func TestEngineAddDuringRunNoDoubleFire(t *testing.T) {
-	e := NewEngine()
-	counts := map[string]int{}
-	mk := func(name string, prio int) *Ticker {
-		return &Ticker{Name: name, Period: Millisecond, Priority: prio, Fn: func(Time) { counts[name]++ }}
+func FuzzEngine(f *testing.F) {
+	var names []string
+	for name := range engineSeeds {
+		names = append(names, name)
 	}
-	e.Add(&Ticker{Name: "spawner", Period: Millisecond, Priority: 0, Fn: func(Time) {
-		counts["spawner"]++
-		if counts["spawner"] == 1 {
-			e.Add(mk("injected", -50))
-		}
-	}})
-	e.Add(mk("b", 5))
-	e.Add(mk("c", 9))
-	e.Run(4 * Millisecond)
-	for name, want := range map[string]int{"spawner": 4, "b": 4, "c": 4, "injected": 3} {
-		if counts[name] != want {
-			t.Errorf("%s fired %d times, want %d", name, counts[name], want)
-		}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(engineSeeds[name])
 	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkEngine(t, decodeEngine(data)) })
 }
 
-func TestEngineRunContextCancel(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Add(&Ticker{Name: "spin", Period: Microsecond, Fn: func(Time) { fired++ }})
-	ctx, cancel := context.WithCancel(context.Background())
-	stopAt := 5 * ctxCheckEvery
-	e.Add(&Ticker{Name: "trip", Period: Microsecond, Priority: 1, Fn: func(Time) {
-		if fired == stopAt {
-			cancel()
-		}
-	}})
-	err := e.RunContext(ctx, Second)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
-	}
-	// Cancellation is honored within one check window.
-	if fired > stopAt+ctxCheckEvery {
-		t.Errorf("fired %d ticks after cancel at %d; check lag exceeds one window", fired, stopAt)
-	}
-	// The engine stops on a dispatched instant, so a later run resumes
-	// without double-firing.
-	before := fired
-	if err := e.RunContext(context.Background(), 10*Microsecond); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if fired != before+10 {
-		t.Errorf("resume fired %d ticks, want 10", fired-before)
-	}
+// Script builders for the named seeds. Times are in engUnit (ms).
+func add(slot, period, phase, prio int) engOp {
+	return engOp{opAdd, byte(slot), byte(period - 1), byte(phase | (prio+1)<<4)}
+}
+func pause(slot int) engOp   { return engOp{kind: opPause, a: byte(slot)} }
+func resume(slot int) engOp  { return engOp{kind: opResume, a: byte(slot)} }
+func run(d int) engOp        { return engOp{opRun, byte(d), byte(d >> 8), 0} }
+func runUntil(t int) engOp   { return engOp{opRunUntil, byte(t), byte(t >> 8), 0} }
+func budget(n int) engOp     { return engOp{opBudget, byte(n), byte(n >> 8), 0} }
+func bindCancellable() engOp { return engOp{kind: opBind, a: 1} }
+func cancelCtx() engOp       { return engOp{kind: opCancel} }
+func reset() engOp           { return engOp{kind: opReset} }
+
+// on issues call from slot's nth firing (0: every firing).
+func on(slot, n int, call engOp) []engOp {
+	return []engOp{{kind: opHook, a: byte(slot), b: byte(n)}, call}
 }
 
-func TestEngineRunContextPreCancelled(t *testing.T) {
-	e := NewEngine()
-	e.Add(&Ticker{Name: "spin", Period: Microsecond, Fn: func(Time) { t.Fatal("ticker fired under a cancelled context") }})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := e.RunContext(ctx, Second); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
-	}
-}
-
-func TestEngineStepBudget(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Add(&Ticker{Name: "runaway", Period: Picosecond, Fn: func(Time) { fired++ }})
-	e.SetStepBudget(1000)
-	err := e.RunContext(context.Background(), Second)
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("RunContext = %v, want *BudgetError", err)
-	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Error("BudgetError does not match ErrBudgetExceeded")
-	}
-	if fired != 1000 || be.Steps != 1000 || be.Budget != 1000 {
-		t.Errorf("fired=%d Steps=%d Budget=%d, want 1000 each", fired, be.Steps, be.Budget)
-	}
-}
-
-func TestEngineRunPanicsWithAbortWhenBound(t *testing.T) {
-	e := NewEngine()
-	e.Add(&Ticker{Name: "runaway", Period: Picosecond, Fn: func(Time) {}})
-	e.SetStepBudget(10)
-	defer func() {
-		cause, ok := AbortCause(recover())
+// script encodes calls and on(...) pairs as FuzzEngine's input bytes.
+func script(parts ...any) []byte {
+	var data []byte
+	for _, p := range parts {
+		ops, ok := p.([]engOp)
 		if !ok {
-			t.Fatal("Run did not panic with sim.Abort")
+			ops = []engOp{p.(engOp)}
 		}
-		if !errors.Is(cause, ErrBudgetExceeded) {
-			t.Fatalf("abort cause = %v, want ErrBudgetExceeded", cause)
+		for _, op := range ops {
+			data = append(data, byte(op.kind), op.a, op.b, op.c)
 		}
-	}()
-	e.Run(Second)
+	}
+	return data
 }
 
-func TestEngineBindContext(t *testing.T) {
+// engineSeeds are the named seed scripts, keyed by the test that replays
+// each. Every one was a hand-written scenario test; the reference now
+// states the expected outcome.
+var engineSeeds = map[string][]byte{
+	// Ticks fall in (start, start+d]; Now lands on the window's end.
+	"TestEngineFiresInWindow": script(add(0, 10, 0, 0), run(35)),
+	"TestEngineTimeAdvances":  script(add(0, 3, 0, 0), run(10)),
+	"TestEngineRunResumes":    script(add(0, 4, 0, 0), run(6), run(6)),
+	// Same-instant tickers fire by priority, then registration order.
+	"TestEnginePriorityOrderAtSameInstant": script(add(0, 1, 0, 2), add(1, 1, 0, -1), run(1)),
+	"TestEngineTickOrdering":               script(add(0, 10, 0, 2), add(1, 5, 0, 0), run(10)),
+	// A mid-instant Add joins once the instant completes, at
+	// now+Phase+Period, whatever its priority.
+	"TestEngineAddDuringRun": script(add(0, 10, 0, 0), on(0, 1, add(1, 3, 0, -1)), run(20)),
+	"TestEngineAddDuringRunNoDoubleFire": script(add(0, 1, 0, 0), add(1, 1, 0, 1), add(2, 1, 0, 2),
+		on(0, 1, add(3, 1, 0, -1)), run(4)),
+	// Cancellation is checked before a run and every ctxCheckEvery ticks;
+	// the engine stops on a dispatched instant and resumes cleanly.
+	"TestEngineRunContextCancel": script(bindCancellable(), add(0, 1, 0, 0), add(1, 1, 0, 1),
+		on(1, 7, cancelCtx()), run(1000), engOp{kind: opBind}, run(10)),
+	"TestEngineRunContextPreCancelled": script(add(0, 1, 0, 0), bindCancellable(), cancelCtx(), run(1000)),
+	"TestEngineBindContext":            script(bindCancellable(), cancelCtx(), add(0, 1, 0, 0), run(1000)),
+	// The watchdog counts fired ticks only and stops on the tripping
+	// instant; a skipped-over idle stretch costs nothing.
+	"TestEngineStepBudget":                  script(add(0, 1, 0, 0), budget(1000), run(4000)),
+	"TestEngineRunPanicsWithAbortWhenBound": script(add(0, 1, 0, 0), budget(10), run(1000), run(1000)),
+	"TestEngineBudgetCountsFiredTicksOnly":  script(add(0, 100, 0, 0), budget(50), run(4000)),
+	// A paused ticker leaves the schedule and NextDeadline.
+	"TestEnginePauseStopsFiring": script(add(0, 10, 0, 0), run(25), pause(0), run(100)),
+	"TestEngineNextDeadline":     script(add(0, 3, 0, 0), add(1, 10, 0, 0), pause(0)),
+	// Resume re-arms on the original grid, strictly after now.
+	"TestEnginePauseResumeKeepsGrid":        script(add(0, 10, 0, 0), run(25), pause(0), run(52), resume(0), run(25)),
+	"TestEngineResumeOnBoundaryExcludesNow": script(add(0, 10, 0, 0), run(10), pause(0), run(30), resume(0), run(10)),
+	"TestEnginePauseResumeNoDoubleFire":     script(add(0, 10, 0, 0), run(5), pause(0), resume(0), resume(0), run(10)),
+	// A ticker may pause itself from its Fn; other cohort members still
+	// fire, and a cohort member paused before its turn is retracted.
+	"TestEnginePauseSelfDuringTick": script(add(0, 10, 0, 0), on(0, 3, pause(0)), run(100), resume(0), run(10)),
+	"TestEnginePauseOtherCohortMember": script(add(0, 1, 0, 0), add(1, 1, 0, 2), on(0, 1, pause(1)),
+		run(2), resume(1), run(1)),
+	// Resume from a Fn joins once the instant completes, like Add.
+	"TestEngineResumeDuringDispatch": script(add(0, 10, 0, 0), run(15), pause(0), add(1, 7, 0, 0),
+		on(1, 1, resume(0)), run(30)),
+	// Pause and Resume in the ticker's own instant collapse to a no-op.
+	"TestEnginePauseResumeSameInstant": script(add(0, 10, 0, 0), add(1, 10, 0, 2),
+		on(0, 0, pause(0)), on(1, 0, resume(0)), run(30)),
+	// The same collapse, once only: Resume's cohort-membership check is
+	// all that stops the ticker being scheduled twice from then on.
+	"TestEngineResumeInOwnInstantSchedulesOnce": script(add(0, 10, 0, 0), add(1, 10, 0, 2),
+		on(0, 1, pause(0)), on(1, 1, resume(0)), run(50)),
+	// Pausing a ticker added in the same instant: it never fires.
+	"TestEnginePausePendingAdd": script(add(0, 1, 0, 0), on(0, 1, add(1, 1, 0, 0)), on(0, 1, pause(1)), run(5)),
+	// Reset keeps a ticker's pause; a fresh Add clears it.
+	"TestEngineAddClearsPause": script(add(0, 10, 0, 0), pause(0), reset(), add(0, 10, 0, 0), run(10)),
+	// RunUntil between deadlines keeps the grid; only due ticks count.
+	"TestEngineRunUntilBetweenDeadlines": script(add(0, 10, 0, 0), runUntil(25), runUntil(41), runUntil(4000)),
+}
+
+// replayEngine checks the named seed of the calling test.
+func replayEngine(t *testing.T) {
+	t.Helper()
+	data, ok := engineSeeds[t.Name()]
+	if !ok {
+		t.Fatalf("no engine seed named %s", t.Name())
+	}
+	checkEngine(t, decodeEngine(data))
+}
+
+func TestEngineFiresInWindow(t *testing.T)                   { replayEngine(t) }
+func TestEngineTimeAdvances(t *testing.T)                    { replayEngine(t) }
+func TestEngineRunResumes(t *testing.T)                      { replayEngine(t) }
+func TestEnginePriorityOrderAtSameInstant(t *testing.T)      { replayEngine(t) }
+func TestEngineTickOrdering(t *testing.T)                    { replayEngine(t) }
+func TestEngineAddDuringRun(t *testing.T)                    { replayEngine(t) }
+func TestEngineAddDuringRunNoDoubleFire(t *testing.T)        { replayEngine(t) }
+func TestEngineRunContextCancel(t *testing.T)                { replayEngine(t) }
+func TestEngineRunContextPreCancelled(t *testing.T)          { replayEngine(t) }
+func TestEngineBindContext(t *testing.T)                     { replayEngine(t) }
+func TestEngineStepBudget(t *testing.T)                      { replayEngine(t) }
+func TestEngineRunPanicsWithAbortWhenBound(t *testing.T)     { replayEngine(t) }
+func TestEngineBudgetCountsFiredTicksOnly(t *testing.T)      { replayEngine(t) }
+func TestEnginePauseStopsFiring(t *testing.T)                { replayEngine(t) }
+func TestEngineNextDeadline(t *testing.T)                    { replayEngine(t) }
+func TestEnginePauseResumeKeepsGrid(t *testing.T)            { replayEngine(t) }
+func TestEngineResumeOnBoundaryExcludesNow(t *testing.T)     { replayEngine(t) }
+func TestEnginePauseResumeNoDoubleFire(t *testing.T)         { replayEngine(t) }
+func TestEnginePauseSelfDuringTick(t *testing.T)             { replayEngine(t) }
+func TestEnginePauseOtherCohortMember(t *testing.T)          { replayEngine(t) }
+func TestEngineResumeDuringDispatch(t *testing.T)            { replayEngine(t) }
+func TestEnginePauseResumeSameInstant(t *testing.T)          { replayEngine(t) }
+func TestEngineResumeInOwnInstantSchedulesOnce(t *testing.T) { replayEngine(t) }
+func TestEnginePausePendingAdd(t *testing.T)                 { replayEngine(t) }
+func TestEngineAddClearsPause(t *testing.T)                  { replayEngine(t) }
+func TestEngineRunUntilBetweenDeadlines(t *testing.T)        { replayEngine(t) }
+
+func TestEnginePanicsOnBadTicker(t *testing.T) {
 	e := NewEngine()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e.Bind(ctx)
-	e.Add(&Ticker{Name: "spin", Period: Microsecond, Fn: func(Time) {}})
 	defer func() {
-		cause, ok := AbortCause(recover())
-		if !ok || !errors.Is(cause, context.Canceled) {
-			t.Fatalf("Run under a cancelled bound context: recovered %v", cause)
+		if recover() == nil {
+			t.Fatal("zero-period ticker did not panic")
 		}
 	}()
-	e.Run(Second)
-}
-
-// --- pause / resume (skip-ahead support) -------------------------------
-
-func TestEnginePauseStopsFiring(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tk := &Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(Time) { fired++ }}
-	e.Add(tk)
-	e.Run(25 * Millisecond) // fires at 10, 20
-	e.Pause(tk)
-	if !tk.Paused() {
-		t.Fatal("ticker not marked paused")
-	}
-	e.Run(100 * Millisecond)
-	if fired != 2 {
-		t.Fatalf("paused ticker fired: %d ticks, want 2", fired)
-	}
-	if _, ok := e.NextDeadline(); ok {
-		t.Error("NextDeadline reports a deadline with the only ticker paused")
-	}
-}
-
-// Resume must land the first post-resume tick on the ticker's original
-// grid — the earliest multiple of Period strictly after now — no matter
-// how long it sat out or where in a period the resume happens.
-func TestEnginePauseResumeKeepsGrid(t *testing.T) {
-	e := NewEngine()
-	var ticks []Time
-	tk := &Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(now Time) { ticks = append(ticks, now) }}
-	e.Add(tk)
-	e.Run(25 * Millisecond) // 10, 20
-	e.Pause(tk)
-	e.Run(52 * Millisecond) // now = 77ms, mid-period
-	e.Resume(tk)
-	e.Run(25 * Millisecond) // window (77, 102]
-	want := []Time{10 * Millisecond, 20 * Millisecond, 80 * Millisecond, 90 * Millisecond, 100 * Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v (grid lost)", i, ticks[i], want[i])
-		}
-	}
-}
-
-// Resuming exactly on a grid boundary must schedule the next tick one
-// full period later: a tick at exactly `now` would already have fired in
-// stepped mode before any external caller observed the engine.
-func TestEngineResumeOnBoundaryExcludesNow(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tk := &Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(Time) { fired++ }}
-	e.Add(tk)
-	e.Run(10 * Millisecond) // fires at 10
-	e.Pause(tk)
-	e.Run(30 * Millisecond) // now = 40ms, a grid point
-	e.Resume(tk)
-	e.Run(10 * Millisecond)
-	if fired != 2 { // 10ms and 50ms; nothing at 40ms
-		t.Fatalf("fired %d ticks, want 2", fired)
-	}
-}
-
-// Pause immediately followed by Resume before the pending deadline must
-// not double-schedule the ticker.
-func TestEnginePauseResumeNoDoubleFire(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tk := &Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(Time) { fired++ }}
-	e.Add(tk)
-	e.Run(5 * Millisecond)
-	e.Pause(tk)
-	e.Resume(tk)
-	e.Resume(tk) // double resume is a no-op
-	e.Run(10 * Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired %d ticks in (5ms, 15ms], want exactly 1 (at 10ms)", fired)
-	}
-}
-
-// A ticker that pauses itself from its own Fn — the machine's quantum
-// self-de-arm path — fires that tick, then drops off the schedule.
-func TestEnginePauseSelfDuringTick(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	var tk *Ticker
-	tk = &Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(Time) {
-		fired++
-		if fired == 3 {
-			e.Pause(tk)
-		}
-	}}
-	e.Add(tk)
-	e.Run(100 * Millisecond)
-	if fired != 3 {
-		t.Fatalf("fired %d ticks, want 3 (self-pause at the third)", fired)
-	}
-	e.Resume(tk)
-	e.Run(10 * Millisecond) // (100, 110]: grid tick at 110
-	if fired != 4 {
-		t.Fatalf("post-resume fired %d ticks total, want 4", fired)
-	}
-}
-
-// Pausing a same-instant cohort member that has not fired yet retracts
-// its tick for the instant; resuming it from within the same instant
-// reinstates it exactly once at the next grid point.
-func TestEnginePauseOtherCohortMember(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	var victim *Ticker
-	victim = &Ticker{Name: "victim", Period: Millisecond, Priority: 10, Fn: func(Time) { order = append(order, "victim") }}
-	first := true
-	e.Add(&Ticker{Name: "pauser", Period: Millisecond, Priority: 0, Fn: func(Time) {
-		order = append(order, "pauser")
-		if first {
-			first = false
-			e.Pause(victim)
-		}
-	}})
-	e.Add(victim)
-	e.Run(2 * Millisecond)
-	// Instant 1ms: pauser fires, victim's tick is retracted. Instant 2ms:
-	// victim is paused and absent.
-	want := []string{"pauser", "pauser"}
-	if len(order) != len(want) || order[0] != want[0] || order[1] != want[1] {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	e.Resume(victim)
-	e.Run(Millisecond)
-	if len(order) != 4 || order[2] != "pauser" || order[3] != "victim" {
-		t.Fatalf("post-resume order = %v, want [... pauser victim]", order)
-	}
-}
-
-// Resume called from inside another ticker's Fn (the Spawn-during-a-tick
-// wake path) joins the schedule once the instant completes, like Add.
-func TestEngineResumeDuringDispatch(t *testing.T) {
-	e := NewEngine()
-	var ticks []Time
-	tk := &Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(now Time) { ticks = append(ticks, now) }}
-	e.Add(tk)
-	e.Run(15 * Millisecond) // fires at 10
-	e.Pause(tk)
-	resumed := false
-	e.Add(&Ticker{Name: "waker", Period: 7 * Millisecond, Fn: func(Time) {
-		if !resumed {
-			resumed = true
-			e.Resume(tk)
-		}
-	}})
-	// Waker registered at 15ms, first tick 22ms → resume at 22ms; q's
-	// grid point after 22ms is 30ms.
-	e.Run(30 * Millisecond)
-	want := []Time{10 * Millisecond, 30 * Millisecond, 40 * Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v", i, ticks[i], want[i])
-		}
-	}
-}
-
-// A ticker paused from inside its own tick and resumed later in the same
-// instant (pause/resume collapse to a no-op) keeps firing normally.
-func TestEnginePauseResumeSameInstant(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	var tk *Ticker
-	tk = &Ticker{Name: "q", Period: 10 * Millisecond, Priority: 0, Fn: func(Time) { fired++; e.Pause(tk) }}
-	e.Add(tk)
-	e.Add(&Ticker{Name: "waker", Period: 10 * Millisecond, Priority: 5, Fn: func(Time) { e.Resume(tk) }})
-	e.Run(30 * Millisecond)
-	if fired != 3 {
-		t.Fatalf("fired %d ticks, want 3 (pause+resume within each instant)", fired)
-	}
-}
-
-// Pausing a ticker that was Added during the current instant must pull it
-// from the pending list before it ever reaches the heap.
-func TestEnginePausePendingAdd(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	var child *Ticker
-	child = &Ticker{Name: "child", Period: Millisecond, Fn: func(Time) { fired++ }}
-	once := false
-	e.Add(&Ticker{Name: "parent", Period: Millisecond, Fn: func(Time) {
-		if !once {
-			once = true
-			e.Add(child)
-			e.Pause(child)
-		}
-	}})
-	e.Run(5 * Millisecond)
-	if fired != 0 {
-		t.Fatalf("paused pending child fired %d times, want 0", fired)
-	}
-}
-
-// Re-Adding a paused ticker (the machine Reset path) clears the pause.
-func TestEngineAddClearsPause(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tk := &Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(Time) { fired++ }}
-	e.Add(tk)
-	e.Pause(tk)
-	e.Reset()
-	e.Add(tk)
-	if tk.Paused() {
-		t.Fatal("Add left the ticker paused")
-	}
-	e.Run(10 * Millisecond)
-	if fired != 1 {
-		t.Fatalf("fired %d ticks after re-Add, want 1", fired)
-	}
-}
-
-// NextDeadline surfaces the heap top; a paused ticker must not hold it.
-func TestEngineNextDeadline(t *testing.T) {
-	e := NewEngine()
-	fast := &Ticker{Name: "fast", Period: 3 * Millisecond, Fn: func(Time) {}}
-	slow := &Ticker{Name: "slow", Period: 10 * Millisecond, Fn: func(Time) {}}
-	e.Add(fast)
-	e.Add(slow)
-	if d, ok := e.NextDeadline(); !ok || d != 3*Millisecond {
-		t.Fatalf("NextDeadline = %v, %v; want 3ms, true", d, ok)
-	}
-	e.Pause(fast)
-	if d, ok := e.NextDeadline(); !ok || d != 10*Millisecond {
-		t.Fatalf("NextDeadline after pause = %v, %v; want 10ms, true", d, ok)
-	}
-}
-
-// RunUntil landing between deadlines leaves now at the requested instant
-// and the next run picks up the schedule without drift.
-func TestEngineRunUntilBetweenDeadlines(t *testing.T) {
-	e := NewEngine()
-	var ticks []Time
-	e.Add(&Ticker{Name: "q", Period: 10 * Millisecond, Fn: func(now Time) { ticks = append(ticks, now) }})
-	e.RunUntil(25 * Millisecond)
-	if e.Now() != 25*Millisecond {
-		t.Fatalf("Now() = %v, want 25ms", e.Now())
-	}
-	e.RunUntil(41 * Millisecond)
-	want := []Time{10 * Millisecond, 20 * Millisecond, 30 * Millisecond, 40 * Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	// Only due ticks cost steps: the window (41ms, 10s] holds the grid
-	// points 50ms..10000ms, i.e. 996 of them.
-	steps := e.Steps()
-	e.RunUntil(10 * Second)
-	if e.Steps() != steps+996 {
-		t.Fatalf("Steps() = %d after long window, want %d", e.Steps(), steps+996)
-	}
-}
-
-// The step budget counts fired ticks only: jumping a long idle window is
-// O(due events), so a budget that a stepped engine would blow through
-// survives a skip-ahead run of the same span.
-func TestEngineBudgetCountsFiredTicksOnly(t *testing.T) {
-	e := NewEngine()
-	e.Add(&Ticker{Name: "slow", Period: 100 * Millisecond, Fn: func(Time) {}})
-	e.SetStepBudget(50)
-	if err := e.RunContext(context.Background(), 4*Second); err != nil {
-		t.Fatalf("RunContext = %v; 40 fired ticks must fit a budget of 50", err)
-	}
-	if e.Steps() != 40 {
-		t.Fatalf("Steps() = %d, want 40", e.Steps())
-	}
+	e.Add(&Ticker{Name: "bad", Period: 0, Fn: func(Time) {}})
 }

@@ -196,60 +196,3 @@ func TestHashStringQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEngineTickOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Add(&Ticker{Name: "b", Period: 10 * Millisecond, Priority: 10, Fn: func(Time) { order = append(order, "b") }})
-	e.Add(&Ticker{Name: "a", Period: 5 * Millisecond, Priority: 0, Fn: func(Time) { order = append(order, "a") }})
-	e.Run(10 * Millisecond)
-	// a at 5ms, then at 10ms a fires before b (lower priority value first).
-	want := []string{"a", "a", "b"}
-	if len(order) != len(want) {
-		t.Fatalf("got %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("got %v, want %v", order, want)
-		}
-	}
-}
-
-func TestEngineTimeAdvances(t *testing.T) {
-	e := NewEngine()
-	var at []Time
-	e.Add(&Ticker{Name: "t", Period: 3 * Millisecond, Fn: func(now Time) { at = append(at, now) }})
-	e.Run(10 * Millisecond)
-	if len(at) != 3 {
-		t.Fatalf("fired %d times, want 3", len(at))
-	}
-	for i, want := range []Time{3 * Millisecond, 6 * Millisecond, 9 * Millisecond} {
-		if at[i] != want {
-			t.Errorf("tick %d at %v, want %v", i, at[i], want)
-		}
-	}
-	if e.Now() != 10*Millisecond {
-		t.Errorf("Now() = %v, want 10ms", e.Now())
-	}
-}
-
-func TestEngineRunResumes(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Add(&Ticker{Name: "t", Period: 4 * Millisecond, Fn: func(Time) { n++ }})
-	e.Run(6 * Millisecond) // tick at 4
-	e.Run(6 * Millisecond) // ticks at 8, 12
-	if n != 3 {
-		t.Errorf("fired %d times across two Runs, want 3", n)
-	}
-}
-
-func TestEnginePanicsOnBadTicker(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-period ticker did not panic")
-		}
-	}()
-	e.Add(&Ticker{Name: "bad", Period: 0, Fn: func(Time) {}})
-}

@@ -125,105 +125,6 @@ func TestChaosExactlyOnceOrQuarantined(t *testing.T) {
 	t.Logf("chaos: fleet=%+v stats=%+v executions=%d units", rep, stats, len(exec))
 }
 
-// TestFleetResumeAfterCoordinatorCrash kills the coordinator mid-sweep
-// (with leases in flight), then resumes from its state dir with a fresh
-// fleet: units that merged before the crash must not run again, and the
-// resumed sweep must finish everything else.
-func TestFleetResumeAfterCoordinatorCrash(t *testing.T) {
-	units := testUnits(12)
-	dir := t.TempDir()
-
-	c1, err := NewCoordinator(CoordinatorConfig{StateDir: dir}, units)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	var muA sync.Mutex
-	execA := map[UnitID]int{}
-	ctxA, cancelA := context.WithCancel(context.Background())
-	defer cancelA()
-	go func() {
-		// Pull the plug once about half the sweep has merged.
-		for {
-			if c1.Snapshot().Done >= 5 {
-				cancelA()
-				return
-			}
-			select {
-			case <-ctxA.Done():
-				return
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-	RunFleet(ctxA, c1, FleetConfig{
-		Workers: 2, Jobs: 1,
-		NewRunner: func(workerID string) UnitRunner {
-			return func(ctx context.Context, u Unit, progress func(string)) UnitResult {
-				muA.Lock()
-				execA[u.ID]++
-				muA.Unlock()
-				time.Sleep(time.Millisecond)
-				if ctx.Err() != nil {
-					return UnitResult{Error: "aborted"}
-				}
-				return UnitResult{OK: true, Result: "phase A"}
-			}
-		},
-	})
-	doneA := map[UnitID]bool{}
-	for _, u := range c1.Snapshot().Units {
-		if u.State == UnitDone {
-			doneA[u.Unit.ID] = true
-		}
-	}
-	if len(doneA) < 5 {
-		t.Fatalf("phase A merged only %d units", len(doneA))
-	}
-
-	// "Crash": c1 is gone; a new coordinator resumes from the state dir.
-	c2, err := NewCoordinator(CoordinatorConfig{StateDir: dir, Resume: true}, units)
-	if err != nil {
-		t.Fatalf("resume NewCoordinator: %v", err)
-	}
-	var muB sync.Mutex
-	execB := map[UnitID]int{}
-	ctxB, cancelB := context.WithTimeout(context.Background(), time.Minute)
-	defer cancelB()
-	RunFleet(ctxB, c2, FleetConfig{
-		Workers: 2, Jobs: 1,
-		NewRunner: func(workerID string) UnitRunner {
-			return func(ctx context.Context, u Unit, progress func(string)) UnitResult {
-				muB.Lock()
-				execB[u.ID]++
-				muB.Unlock()
-				return UnitResult{OK: true, Result: "phase B"}
-			}
-		},
-	})
-	select {
-	case <-c2.Done():
-	default:
-		t.Fatalf("resumed sweep not done: %+v", c2.Snapshot())
-	}
-
-	st := c2.Snapshot()
-	if st.Done != len(units) {
-		t.Fatalf("resumed sweep finished with done=%d, want %d (%+v)", st.Done, len(units), st)
-	}
-	muB.Lock()
-	defer muB.Unlock()
-	for id := range doneA {
-		if execB[id] != 0 {
-			t.Errorf("%s was done before the crash but re-ran %d times after resume", id, execB[id])
-		}
-	}
-	for _, u := range units {
-		if !doneA[u.ID] && execB[u.ID] != 1 {
-			t.Errorf("unfinished unit %s ran %d times in phase B, want 1", u.ID, execB[u.ID])
-		}
-	}
-}
-
 // syncLog is a log sink safe for the coordinator's concurrent writers.
 type syncLog struct {
 	mu sync.Mutex

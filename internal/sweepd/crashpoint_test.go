@@ -2,170 +2,50 @@ package sweepd
 
 import (
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 )
 
-// The crashpoint-exhaustive recovery test: run a scripted sweep —
-// completions, failures, a quarantine, a lease expiry, compactions —
-// over the in-memory crash-model filesystem, count every mutating disk
-// operation it performs, then replay the script once per boundary with
-// a kill armed exactly there. After each kill the "machine reboots"
-// (DiskFS.Crash discards everything volatile, tearing any unsynced
-// tail) and a fresh coordinator resumes from whatever survived. The
-// invariants, at every single boundary:
-//
-//   - resume never fails (a torn journal tail is routine, not fatal);
-//   - no phantom state: a unit resumed as done must be one the script
-//     durably completed, resumed quarantine must be script-earned;
-//   - the sweep then finishes, with every unit done or quarantined and
-//     no unit merged more than once per coordinator ledger.
+// crashScript is the sweep the crash tests replay: u00 completes, u01
+// fails on two distinct workers and is quarantined, u02 survives a lease
+// expiry and then completes.
+var crashScript = coordScript(3, 2, 3, lease(1, 1), succeed(0), lease(1, 1), fail(1), advance(2*sec), lease(2, 1), fail(2),
+	lease(3, 1), advance(2*time.Minute), advance(2*sec), lease(0, 1), succeed(4))
 
-// crashUnits is the scripted grid: u00 completes, u01 goes poison,
-// u02 survives a lease expiry then completes.
-func crashUnits() []Unit { return testUnits(3) }
-
-func crashScriptConfig(d *faults.DiskFS, clk *ManualClock, resume bool) CoordinatorConfig {
-	return CoordinatorConfig{
-		LeaseTTL:        time.Minute,
-		ExpiryBudget:    3,
-		QuarantineAfter: 2,
-		RetryBase:       time.Second,
-		RetryJitter:     0,
-		Clock:           clk,
-		StateDir:        "state",
-		FS:              d,
-		Resume:          resume,
-		// Compact every two records so the script crosses several
-		// generation rolls — the multi-file commit protocol is where
-		// crash bugs hide.
-		SnapshotEvery: 2,
-		Log:           io.Discard,
-	}
+// playCrashScript runs crashScript on disk with a kill armed after
+// crashAfter mutating operations (-1: none). Only the invariants are
+// checked: a kill or a fault takes the coordinator outside the model.
+func playCrashScript(t *testing.T, disk *faults.DiskFS, crashAfter int) *coordHarness {
+	h := newCoordHarness(t, crashScript[:coordHeader])
+	h.disk, h.cfg.FS, h.unmodelled = disk, disk, true
+	disk.CrashAfter(crashAfter)
+	h.play(crashScript)
+	return h
 }
 
-// tryLease leases one unit, tolerating refusal (mid-script the
-// coordinator may be degraded because the armed crash already fired).
-func tryLease(c *Coordinator, worker string) (LeasedUnit, bool) {
-	resp := c.Lease(LeaseRequest{Worker: worker, Max: 1})
-	if len(resp.Units) != 1 {
-		return LeasedUnit{}, false
-	}
-	return resp.Units[0], true
-}
-
-// runCrashScript drives the scripted sweep over d until it finishes or
-// the armed crash makes the coordinator unusable. All in-memory
-// coordinator behavior is deterministic; only persistence fails.
-func runCrashScript(d *faults.DiskFS) {
-	clk := NewManualClock(time.Unix(0, 0))
-	c, err := NewCoordinator(crashScriptConfig(d, clk, false), crashUnits())
-	if err != nil {
-		return // crashed during open: the dir holds a partial bootstrap
-	}
-	defer c.Close()
-
-	// u00: lease and complete.
-	if lu, ok := tryLease(c, "w1"); ok {
-		c.Complete(CompleteRequest{Worker: "w1", Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "res:" + string(lu.Unit.ID)})
-	}
-	// u01: fails on two distinct workers → quarantined.
-	if lu, ok := tryLease(c, "w1"); ok {
-		c.Complete(CompleteRequest{Worker: "w1", Unit: lu.Unit.ID, Epoch: lu.Epoch, Error: "poison"})
-	}
-	clk.Advance(2 * time.Second) // clear the retry backoff
-	if lu, ok := tryLease(c, "w2"); ok {
-		c.Complete(CompleteRequest{Worker: "w2", Unit: lu.Unit.ID, Epoch: lu.Epoch, Error: "poison"})
-	}
-	// u02: leased by a worker that dies silently; the lease expires.
-	if _, ok := tryLease(c, "w3"); ok {
-		clk.Advance(2 * time.Minute)
-		c.Quiesced() // reap the expiry
-	}
-	clk.Advance(2 * time.Second)
-	// u02 again: completes on a healthy worker, finishing the sweep.
-	if lu, ok := tryLease(c, "w4"); ok {
-		c.Complete(CompleteRequest{Worker: "w4", Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "res:" + string(lu.Unit.ID)})
-	}
-}
-
+// TestCrashpointExhaustiveRecovery replays crashScript once per mutating
+// disk operation with a kill armed exactly there. After each kill the
+// machine reboots (DiskFS.Crash tears any unsynced tail) and a
+// coordinator resumes: it never fails, restores as done only units whose
+// completion was accepted, and finishes the sweep with every unit done,
+// none merged twice (the harness's invariants).
 func TestCrashpointExhaustiveRecovery(t *testing.T) {
-	// Clean run: count the workload's mutating-op boundaries.
-	clean := faults.NewDiskFS(0xC0FFEE)
-	runCrashScript(clean)
-	total := clean.Ops()
+	total := playCrashScript(t, faults.NewDiskFS(0xC0FFEE), -1).disk.Ops()
 	if total < 40 {
 		t.Fatalf("script performed only %d mutating ops; too few boundaries to be interesting", total)
 	}
-
-	// The script only ever completes u00 and u02 successfully, and only
-	// u01 can be quarantined — anything else resumed is phantom state.
-	okDone := map[UnitID]bool{"u00": true, "u02": true}
-
 	for k := 0; k < total; k++ {
-		k := k
 		t.Run(fmt.Sprintf("boundary-%03d", k), func(t *testing.T) {
-			d := faults.NewDiskFS(0xC0FFEE)
-			d.CrashAfter(k)
-			runCrashScript(d)
-			if !d.Crashed() {
+			h := playCrashScript(t, faults.NewDiskFS(0xC0FFEE), k)
+			if !h.disk.Crashed() {
 				t.Fatalf("boundary %d/%d never hit", k, total)
 			}
-			d.Crash() // reboot: volatile state gone, tails may tear
-
-			clk := NewManualClock(time.Unix(1000, 0))
-			c, err := NewCoordinator(crashScriptConfig(d, clk, true), crashUnits())
-			if err != nil {
-				t.Fatalf("resume after crash at boundary %d failed: %v", k, err)
-			}
-			defer c.Close()
-
-			// Phantom check before driving anything.
-			for _, u := range c.Snapshot().Units {
-				if u.State == UnitDone && !okDone[u.Unit.ID] {
-					t.Fatalf("boundary %d: %s resumed done but was never completed", k, u.Unit.ID)
-				}
-				if u.State == UnitQuarantined && u.Unit.ID != "u01" {
-					t.Fatalf("boundary %d: %s resumed quarantined without cause", k, u.Unit.ID)
-				}
-			}
-
-			// Drive the remainder: lease whatever is pending and complete
-			// it. The disk is healthy now, so this must terminate.
-			for round := 0; ; round++ {
-				if round > 100 {
-					t.Fatalf("boundary %d: sweep did not finish", k)
-				}
-				resp := c.Lease(LeaseRequest{Worker: "driver", Max: 3})
-				if resp.Done {
-					break
-				}
-				if resp.Degraded {
-					t.Fatalf("boundary %d: degraded on a healthy disk", k)
-				}
-				if len(resp.Units) == 0 {
-					clk.Advance(2 * time.Second)
-					continue
-				}
-				for _, lu := range resp.Units {
-					c.Complete(CompleteRequest{Worker: "driver", Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "res:" + string(lu.Unit.ID)})
-				}
-			}
-
-			// Done exactly once or quarantined, across the whole history.
-			for _, u := range c.Snapshot().Units {
-				if !u.State.Terminal() {
-					t.Fatalf("boundary %d: %s not terminal: %s", k, u.Unit.ID, u.State)
-				}
-				if u.Completions > 1 {
-					t.Fatalf("boundary %d: %s merged %d times", k, u.Unit.ID, u.Completions)
-				}
-				if u.State == UnitQuarantined && u.Unit.ID != "u01" {
-					t.Fatalf("boundary %d: %s quarantined", k, u.Unit.ID)
-				}
+			h.step(restart())
+			h.finish()
+			if h.last.Done != len(h.grids[0]) {
+				t.Fatalf("boundary %d: sweep ended %+v, want every unit done", k, h.last)
 			}
 		})
 	}

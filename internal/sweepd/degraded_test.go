@@ -13,118 +13,11 @@ import (
 	"repro/internal/vfs"
 )
 
-// flakyFS wraps a vfs.FS and, once tripped, fails every mutation — the
-// disk-went-bad scenario degraded mode exists for. Reads keep working,
-// matching a filesystem remounted read-only.
-type flakyFS struct {
-	vfs.FS
-	broken *atomic.Bool
-}
-
-var errFlaky = errors.New("flaky: injected write failure")
-
-func (f flakyFS) wrap(file vfs.File, err error) (vfs.File, error) {
-	if err != nil {
-		return nil, err
-	}
-	return flakyFile{file, f.broken}, nil
-}
-
-func (f flakyFS) Create(name string) (vfs.File, error) {
-	if f.broken.Load() {
-		return nil, errFlaky
-	}
-	return f.wrap(f.FS.Create(name))
-}
-
-func (f flakyFS) CreateTemp(dir, pattern string) (vfs.File, error) {
-	if f.broken.Load() {
-		return nil, errFlaky
-	}
-	return f.wrap(f.FS.CreateTemp(dir, pattern))
-}
-
-func (f flakyFS) Append(name string) (vfs.File, error) {
-	if f.broken.Load() {
-		return nil, errFlaky
-	}
-	return f.wrap(f.FS.Append(name))
-}
-
-func (f flakyFS) Rename(oldname, newname string) error {
-	if f.broken.Load() {
-		return errFlaky
-	}
-	return f.FS.Rename(oldname, newname)
-}
-
-type flakyFile struct {
-	vfs.File
-	broken *atomic.Bool
-}
-
-func (f flakyFile) Write(p []byte) (int, error) {
-	if f.broken.Load() {
-		return 0, errFlaky
-	}
-	return f.File.Write(p)
-}
-
-func (f flakyFile) Sync() error {
-	if f.broken.Load() {
-		return errFlaky
-	}
-	return f.File.Sync()
-}
-
 // completeOne leases one unit and completes it successfully.
 func completeOne(t *testing.T, c *Coordinator, worker string) {
 	t.Helper()
 	lu := leaseOne(t, c, worker)
 	c.Complete(CompleteRequest{Worker: worker, Unit: lu.Unit.ID, Epoch: lu.Epoch, OK: true, Result: "r"})
-}
-
-// TestDegradedAfterPersistFailures: once checkpoint transitions fail
-// PersistFailLimit times in a row, the coordinator refuses leases,
-// surfaces degraded status, and Wait returns ErrDegraded instead of
-// hanging on a sweep that can never durably finish.
-func TestDegradedAfterPersistFailures(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	broken := &atomic.Bool{}
-	c := newTestCoordinator(t, clk, func(cfg *CoordinatorConfig) {
-		cfg.StateDir = t.TempDir()
-		cfg.FS = flakyFS{vfs.OS{}, broken}
-		cfg.PersistFailLimit = 2
-	}, testUnits(5))
-	defer c.Close()
-
-	completeOne(t, c, "w") // healthy disk: persists
-	if deg, _ := c.Degraded(); deg {
-		t.Fatal("degraded on a healthy disk")
-	}
-
-	broken.Store(true)
-	completeOne(t, c, "w") // first failed transition
-	if deg, _ := c.Degraded(); deg {
-		t.Fatal("degraded before PersistFailLimit")
-	}
-	completeOne(t, c, "w") // second: trips the limit
-
-	deg, reason := c.Degraded()
-	if !deg || reason == "" {
-		t.Fatalf("Degraded() = %v, %q after %d failures", deg, reason, 2)
-	}
-	resp := c.Lease(LeaseRequest{Worker: "w", Max: 1})
-	if !resp.Degraded || len(resp.Units) != 0 {
-		t.Fatalf("degraded coordinator granted a lease: %+v", resp)
-	}
-	st := c.Snapshot()
-	if !st.Degraded || st.DegradedReason == "" {
-		t.Fatalf("status hides degraded mode: %+v", st)
-	}
-	if err := c.Wait(context.Background(), time.Millisecond); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("Wait = %v, want ErrDegraded", err)
-	}
 }
 
 // syncDirFails fails the first n directory fsyncs, then heals.
@@ -135,7 +28,7 @@ type syncDirFails struct {
 
 func (f syncDirFails) SyncDir(dir string) error {
 	if f.n.Add(-1) >= 0 {
-		return errFlaky
+		return errors.New("injected directory fsync failure")
 	}
 	return f.FS.SyncDir(dir)
 }
@@ -184,33 +77,6 @@ func TestDegradedBootstrap(t *testing.T) {
 			t.Fatalf("Wait = %v, want ErrDegraded", err)
 		}
 	})
-}
-
-// TestPersistFailureCounterResets: the failure count is *consecutive* —
-// a transient blip that heals before the limit never degrades.
-func TestPersistFailureCounterResets(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	broken := &atomic.Bool{}
-	c := newTestCoordinator(t, clk, func(cfg *CoordinatorConfig) {
-		cfg.StateDir = t.TempDir()
-		cfg.FS = flakyFS{vfs.OS{}, broken}
-		cfg.PersistFailLimit = 2
-	}, testUnits(5))
-	defer c.Close()
-
-	broken.Store(true)
-	completeOne(t, c, "w") // one failure
-	broken.Store(false)
-	completeOne(t, c, "w") // success resets the counter
-	broken.Store(true)
-	completeOne(t, c, "w") // one failure again — still under the limit
-
-	if deg, _ := c.Degraded(); deg {
-		t.Fatal("transient persist failures degraded the coordinator")
-	}
-	// The healed transitions are really on disk: a resumed coordinator
-	// sees the two merged completions.
-	broken.Store(false)
 }
 
 // TestCoordinatorSalvageExposed: a lossy journal recovery surfaces

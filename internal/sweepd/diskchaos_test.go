@@ -37,7 +37,7 @@ func stateFiles(t *testing.T, d *faults.DiskFS, dir string) map[string]string {
 func TestJournalDiskChaosDeterministic(t *testing.T) {
 	run := func() (faults.DiskStats, map[string]string) {
 		d := faults.NewFaultyDisk(nil, faults.DefaultDiskConfig(0.3), 20230731)
-		runCrashScript(d)
+		playCrashScript(t, d, -1)
 		return d.Stats(), stateFiles(t, d, "state")
 	}
 	s1, f1 := run()

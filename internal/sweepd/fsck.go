@@ -61,61 +61,25 @@ func Fsck(fsys vfs.FS, dir string) (FsckReport, error) {
 		return rep, fmt.Errorf("sweepd: fsck: %w", err)
 	}
 
-	known := map[UnitID]bool{}
-
-	manifestPath := filepath.Join(dir, JournalManifestName)
-	manData, manErr := fsys.ReadFile(manifestPath)
+	jr := readJournal(fsys, dir)
+	rep.Journaled, rep.Generation, rep.Records, rep.Units = jr.journaled, jr.gen, jr.scan.records, len(jr.entries)
+	for _, err := range jr.problems {
+		rep.corruptf("%v", err)
+	}
+	walPath := filepath.Join(dir, journalFileName(jr.gen))
 	switch {
-	case errors.Is(manErr, fs.ErrNotExist):
+	case !jr.journaled:
 		// No journal: nothing to verify but the artifacts below.
-	case manErr != nil:
-		rep.corruptf("reading %s: %v", manifestPath, manErr)
-	default:
-		rep.Journaled = true
-		var man journalManifest
-		if err := json.Unmarshal(manData, &man); err != nil {
-			rep.corruptf("journal manifest %s is corrupt: %v", manifestPath, err)
-			break
-		}
-		rep.Generation = man.Generation
-
-		snapPath := filepath.Join(dir, snapshotFileName(man.Generation))
-		var base []stateEntry
-		snapData, err := fsys.ReadFile(snapPath)
-		if err != nil {
-			rep.corruptf("snapshot %s: %v", snapPath, err)
-		} else {
-			var doc stateFile
-			if err := json.Unmarshal(snapData, &doc); err != nil {
-				rep.corruptf("snapshot %s is corrupt: %v", snapPath, err)
-			} else {
-				base = doc.Units
-			}
-		}
-
-		walPath := filepath.Join(dir, journalFileName(man.Generation))
-		walData, err := fsys.ReadFile(walPath)
-		if errors.Is(err, fs.ErrNotExist) {
-			rep.warnf("journal %s missing (recovery would continue from the snapshot alone)", walPath)
-		} else if err != nil {
-			rep.corruptf("journal %s: %v", walPath, err)
-		} else {
-			scan := scanJournal(walData)
-			rep.Records = scan.records
-			switch {
-			case scan.corruptAt >= 0:
-				rep.corruptf("journal %s: bad record checksum at offset %d with intact data after it (mid-stream corruption; recovery falls back to %s)", walPath, scan.corruptAt, snapshotFileName(man.Generation))
-			case scan.tornAt >= 0:
-				rep.warnf("journal %s: torn tail record at offset %d (%d bytes; truncated on recovery)", walPath, scan.tornAt, scan.size-scan.tornAt)
-				base = applyJournal(base, scan.entries)
-			default:
-				base = applyJournal(base, scan.entries)
-			}
-		}
-		for _, e := range base {
-			known[e.Unit.ID] = true
-		}
-		rep.Units = len(base)
+	case jr.walMissing:
+		rep.warnf("journal %s missing (recovery would continue from the snapshot alone)", walPath)
+	case jr.scan.corruptAt >= 0:
+		rep.corruptf("journal %s: bad record checksum at offset %d with intact data after it (mid-stream corruption; recovery falls back to %s)", walPath, jr.scan.corruptAt, snapshotFileName(jr.gen))
+	case jr.scan.tornAt >= 0:
+		rep.warnf("journal %s: torn tail record at offset %d (%d bytes; truncated on recovery)", walPath, jr.scan.tornAt, jr.scan.size-jr.scan.tornAt)
+	}
+	known := map[UnitID]bool{}
+	for _, e := range jr.entries {
+		known[e.Unit.ID] = true
 	}
 
 	entries, err := fsys.ReadDir(dir)

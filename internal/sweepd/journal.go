@@ -180,96 +180,127 @@ func loadJournal(fsys vfs.FS, dir string, resume bool, log io.Writer) (*journalS
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("sweepd: state dir: %w", err)
 	}
-	js := &journalStore{fsys: fsys, dir: dir, log: log}
-
-	var (
-		base    []stateEntry
-		salvage *SalvageReport
-	)
-	manifestPath := filepath.Join(dir, JournalManifestName)
-	manData, manErr := fsys.ReadFile(manifestPath)
+	// A fresh sweep ignores the state on disk, a different run's, but
+	// starts its generations above it so stale files never collide with
+	// live ones. The store starts dirty: the caller's first persist rolls
+	// a fresh generation, and recovery-by-compaction is what physically
+	// discards torn or abandoned journal bytes.
+	jr := readJournal(fsys, dir)
+	js := &journalStore{fsys: fsys, dir: dir, log: log, gen: jr.gen, dirty: true}
+	if !resume {
+		return js, nil, nil, nil
+	}
+	if len(jr.problems) > 0 {
+		return nil, nil, nil, fmt.Errorf("sweepd: %w", jr.problems[0])
+	}
+	var salvage *SalvageReport
+	walPath, scan := filepath.Join(dir, journalFileName(js.gen)), jr.scan
 	switch {
-	case !resume:
-		// Fresh sweep: whatever is on disk is a different run's state.
-		// Start the next generation above any existing one so stale
-		// files never collide with live ones.
-		if manErr == nil {
-			var man journalManifest
-			if json.Unmarshal(manData, &man) == nil {
-				js.gen = man.Generation
-			}
+	case scan.corruptAt >= 0:
+		// The journal lies beyond this point; only the snapshot is
+		// trustworthy. Records before the damage decoded cleanly but
+		// applying a prefix of a log whose integrity is broken would
+		// present a state no coordinator ever had as recent — fall back
+		// to the snapshot and say so.
+		salvage = &SalvageReport{
+			Kind:           "mid-stream-corruption",
+			Generation:     js.gen,
+			RecordsScanned: scan.records,
+			DamageOffset:   scan.corruptAt,
+			// The whole journal is dropped, not just the damaged
+			// suffix — the clean-looking prefix is untrusted too.
+			DroppedBytes: scan.size,
+			Detail:       fmt.Sprintf("%s: bad record checksum at offset %d with %d bytes after it; journal abandoned, state restored from %s", walPath, scan.corruptAt, scan.size-scan.corruptAt, snapshotFileName(js.gen)),
 		}
-	case errors.Is(manErr, fs.ErrNotExist):
-		// No journal yet: nothing to resume, a fresh sweep.
-	case manErr != nil:
-		return nil, nil, nil, fmt.Errorf("sweepd: reading %s: %w", manifestPath, manErr)
-	default:
-		var man journalManifest
-		if err := json.Unmarshal(manData, &man); err != nil {
-			return nil, nil, nil, fmt.Errorf("sweepd: journal manifest %s is corrupt: %w", manifestPath, err)
-		}
-		js.gen = man.Generation
-		snapPath := filepath.Join(dir, snapshotFileName(js.gen))
-		snapData, err := fsys.ReadFile(snapPath)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("sweepd: reading snapshot %s: %w", snapPath, err)
-		}
-		var doc stateFile
-		if err := json.Unmarshal(snapData, &doc); err != nil {
-			return nil, nil, nil, fmt.Errorf("sweepd: snapshot %s is corrupt: %w", snapPath, err)
-		}
-		base = doc.Units
-
-		walPath := filepath.Join(dir, journalFileName(js.gen))
-		walData, err := fsys.ReadFile(walPath)
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, nil, fmt.Errorf("sweepd: reading journal %s: %w", walPath, err)
-		}
-		scan := scanJournal(walData)
-		switch {
-		case scan.corruptAt >= 0:
-			// The journal lies beyond this point; only the snapshot is
-			// trustworthy. Records before the damage decoded cleanly
-			// but applying a prefix of a log whose integrity is broken
-			// would present a state no coordinator ever had as recent —
-			// fall back to the snapshot and say so.
-			salvage = &SalvageReport{
-				Kind:           "mid-stream-corruption",
-				Generation:     js.gen,
-				RecordsScanned: scan.records,
-				DamageOffset:   scan.corruptAt,
-				// The whole journal is dropped, not just the damaged
-				// suffix — the clean-looking prefix is untrusted too.
-				DroppedBytes: scan.size,
-				Detail:       fmt.Sprintf("%s: bad record checksum at offset %d with %d bytes after it; journal abandoned, state restored from %s", walPath, scan.corruptAt, scan.size-scan.corruptAt, snapshotFileName(js.gen)),
-			}
-		case scan.tornAt >= 0:
-			base = applyJournal(base, scan.entries)
-			salvage = &SalvageReport{
-				Kind:            "torn-tail",
-				Generation:      js.gen,
-				RecordsReplayed: scan.records,
-				RecordsScanned:  scan.records,
-				DamageOffset:    scan.tornAt,
-				DroppedBytes:    scan.size - scan.tornAt,
-				Detail:          fmt.Sprintf("%s: partial record at offset %d truncated (%d bytes); all committed records replayed", walPath, scan.tornAt, scan.size-scan.tornAt),
-			}
-		default:
-			base = applyJournal(base, scan.entries)
+	case scan.tornAt >= 0:
+		salvage = &SalvageReport{
+			Kind:            "torn-tail",
+			Generation:      js.gen,
+			RecordsReplayed: scan.records,
+			RecordsScanned:  scan.records,
+			DamageOffset:    scan.tornAt,
+			DroppedBytes:    scan.size - scan.tornAt,
+			Detail:          fmt.Sprintf("%s: partial record at offset %d truncated (%d bytes); all committed records replayed", walPath, scan.tornAt, scan.size-scan.tornAt),
 		}
 	}
-
-	// The store starts dirty: the caller's first persist rolls a fresh
-	// generation, and recovery-by-compaction is what physically discards
-	// torn or abandoned journal bytes.
-	js.dirty = true
 	if salvage != nil {
 		fmt.Fprintf(log, "sweepd: journal recovery was lossy (%s): %s\n", salvage.Kind, salvage.Detail)
 		if err := writeSalvage(fsys, dir, *salvage); err != nil {
 			fmt.Fprintf(log, "sweepd: warning: salvage report not written: %v\n", err)
 		}
 	}
-	return js, base, salvage, nil
+	return js, jr.entries, salvage, nil
+}
+
+// journalRead is one pass over a state dir's journal: what resume
+// replays and what fsck verifies.
+type journalRead struct {
+	// journaled reports a readable journal manifest; gen is the
+	// generation it names.
+	journaled bool
+	gen       uint64
+	// entries is the snapshot with the journal's records folded in,
+	// unless the journal is corrupt mid-stream (then the snapshot alone).
+	entries []stateEntry
+	// scan classifies the journal's bytes; walMissing marks a
+	// generation whose journal file does not exist.
+	scan       journalScan
+	walMissing bool
+	// problems is the damage that makes the state unresumable, in the
+	// order found: an unreadable or corrupt manifest, snapshot or
+	// journal file.
+	problems []error
+}
+
+// readJournal reads dir's manifest → snapshot → journal and classifies
+// the journal's tail. A dir without a journal manifest reads as
+// unjournaled with no problems. Reading goes on past a damaged snapshot,
+// so fsck can report the journal too.
+func readJournal(fsys vfs.FS, dir string) journalRead {
+	jr := journalRead{scan: journalScan{tornAt: -1, corruptAt: -1}}
+	manifestPath := filepath.Join(dir, JournalManifestName)
+	manData, err := fsys.ReadFile(manifestPath)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return jr
+	case err != nil:
+		jr.problems = append(jr.problems, fmt.Errorf("reading %s: %w", manifestPath, err))
+		return jr
+	}
+	jr.journaled = true
+	var man journalManifest
+	if err := json.Unmarshal(manData, &man); err != nil {
+		jr.problems = append(jr.problems, fmt.Errorf("journal manifest %s is corrupt: %w", manifestPath, err))
+		return jr
+	}
+	jr.gen = man.Generation
+
+	snapPath := filepath.Join(dir, snapshotFileName(jr.gen))
+	if snapData, err := fsys.ReadFile(snapPath); err != nil {
+		jr.problems = append(jr.problems, fmt.Errorf("reading snapshot %s: %w", snapPath, err))
+	} else {
+		var doc stateFile
+		if err := json.Unmarshal(snapData, &doc); err != nil {
+			jr.problems = append(jr.problems, fmt.Errorf("snapshot %s is corrupt: %w", snapPath, err))
+		} else {
+			jr.entries = doc.Units
+		}
+	}
+
+	walPath := filepath.Join(dir, journalFileName(jr.gen))
+	walData, err := fsys.ReadFile(walPath)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		jr.walMissing = true
+	case err != nil:
+		jr.problems = append(jr.problems, fmt.Errorf("reading journal %s: %w", walPath, err))
+	default:
+		jr.scan = scanJournal(walData)
+		if jr.scan.corruptAt < 0 {
+			jr.entries = applyJournal(jr.entries, jr.scan.entries)
+		}
+	}
+	return jr
 }
 
 // applyJournal folds journal records over the snapshot: last write per

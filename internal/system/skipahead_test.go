@@ -27,18 +27,35 @@ func TestSkipAheadIdleCostsOEvents(t *testing.T) {
 	// A step budget a stepped run would trip within the first 20 ms.
 	m2 := newTestMachine(1)
 	m2.SetStepBudget(150)
-	if err := m2.RunContext(context.Background(), sim.Second); err != nil {
+	if err := runBound(m2, context.Background(), sim.Second); err != nil {
 		t.Fatalf("idle second under budget 150: %v", err)
 	}
 	m3 := newTestMachine(1)
 	m3.SetSkipAhead(false)
 	m3.SetStepBudget(150)
-	if err := m3.RunContext(context.Background(), sim.Second); err == nil {
+	if err := runBound(m3, context.Background(), sim.Second); err == nil {
 		t.Fatal("stepped idle second did not trip a budget of 150; test premise broken")
 	}
 }
 
 const time100ms = 100 * sim.Millisecond
+
+// runBound binds ctx, runs m for d and returns the abort cause, or nil
+// when the run completes: the supervisor's Bind + Run + AbortCause path.
+func runBound(m *Machine, ctx context.Context, d sim.Time) (err error) {
+	m.Bind(ctx)
+	defer func() {
+		if r := recover(); r != nil {
+			cause, ok := sim.AbortCause(r)
+			if !ok {
+				panic(r)
+			}
+			err = cause
+		}
+	}()
+	m.Run(d)
+	return nil
+}
 
 // Spawning with a nil workload must not re-arm; arming the workload later
 // must.
@@ -126,9 +143,9 @@ func TestSkipAheadCancellationLag(t *testing.T) {
 			cancel()
 		}
 	}})
-	err := m.RunContext(ctx, 10*sim.Second)
+	err := runBound(m, ctx, 10*sim.Second)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
+		t.Fatalf("run = %v, want context.Canceled", err)
 	}
 	if m.QuantumArmed() {
 		t.Fatal("quantum ticker armed; the run was not elided")

@@ -345,15 +345,6 @@ func (m *Machine) Run(d sim.Time) {
 	m.catchUpIdle(m.engine.Now())
 }
 
-// RunContext advances virtual time by d, returning ctx.Err() on
-// cancellation or a sim.ErrBudgetExceeded error when the step watchdog
-// trips, instead of panicking.
-func (m *Machine) RunContext(ctx context.Context, d sim.Time) error {
-	err := m.engine.RunContext(ctx, d)
-	m.catchUpIdle(m.engine.Now())
-	return err
-}
-
 // SetSkipAhead toggles quantum elision (on by default). With it off the
 // machine steps every quantum even when nothing is runnable — the
 // pre-skip-ahead behaviour, kept for benchmarking the win and for
