@@ -112,7 +112,7 @@ func run() int {
 		timeout   = flag.Duration("timeout", 0, "wall-clock limit per experiment attempt (0 = none)")
 		retries   = flag.Int("retries", 0, "retries per failed experiment (each reseeded)")
 		keepGoing = flag.Bool("keep-going", false, "continue the sweep past failures")
-		artifacts = flag.String("artifacts", "", "directory for the sweep state, crash artifacts and the merged manifest (default: state in memory)")
+		artifacts = flag.String("artifacts", "", "directory for the sweep state, crash artifacts and the final status (default: state in memory)")
 		resume    = flag.Bool("resume", false, "reopen the -artifacts sweep state; only unfinished and failed experiments run")
 		maxSteps  = flag.Int64("max-steps", 0, "per-machine engine step budget (0 = none); runaway simulations fail instead of spinning")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")

@@ -189,27 +189,25 @@ func fired(ch <-chan struct{}) bool {
 	}
 }
 
-// finishSweep writes the merged manifest and maps the sweep outcome to
-// the process exit code: 0 all done, 1 completed with quarantined units
+// finishSweep writes the final status and maps the sweep outcome to the
+// process exit code: 0 all done, 1 completed with quarantined units
 // or stopped early with work left, 3 stopped by signal with work left
 // unfinished, 4 degraded (state could not be persisted; the sweep is
 // not resumable past its last durable transition). A signal that
 // arrives after the last unit merged is not an abort — the sweep's
 // content decides the code whenever nothing was cut short.
 func finishSweep(c *sweepd.Coordinator, s sweepSpec, signalled bool) int {
-	if err := c.WriteManifest(); err != nil {
-		fmt.Fprintf(s.log, "%s: writing manifest: %v\n", s.name, err)
-	}
 	// Final status snapshot (unit states plus shed/queue/breaker
-	// counters) — what CI uploads. It lives in the state dir, so it goes
-	// through the state FS like every other file there.
+	// counters) — the sweep's one end-of-run record, what CI uploads. It
+	// lives in the state dir, so it goes through the state FS like every
+	// other file there.
 	if s.artifacts != "" {
 		if data, err := c.StatusJSON(); err == nil {
 			fsys := s.coord.FS
 			if fsys == nil {
 				fsys = vfs.OS{}
 			}
-			werr := vfs.WriteFileAtomic(fsys, filepath.Join(s.artifacts, "status-final.json"), func(w io.Writer) error {
+			werr := vfs.WriteFileAtomic(fsys, filepath.Join(s.artifacts, sweepd.FinalStatusName), func(w io.Writer) error {
 				_, err := w.Write(append(data, '\n'))
 				return err
 			})
@@ -226,7 +224,7 @@ func finishSweep(c *sweepd.Coordinator, s sweepSpec, signalled bool) int {
 	st := c.Snapshot()
 	where := ""
 	if s.artifacts != "" {
-		where = fmt.Sprintf(" (manifest in %s)", s.artifacts)
+		where = fmt.Sprintf(" (status in %s)", filepath.Join(s.artifacts, sweepd.FinalStatusName))
 	}
 	fmt.Fprintf(s.log, "%s: done=%d quarantined=%d pending=%d leased=%d%s\n",
 		s.name, st.Done, st.Quarantined, st.Pending, st.Leased, where)

@@ -80,25 +80,22 @@ func (s *chaosSuite) options(seed uint64) experimentOptions {
 	}
 }
 
-// readMergedManifest returns each unit's status in dir's merged
-// manifest.
-func readMergedManifest(t *testing.T, dir string) map[string]string {
+// readFinalStatus returns each unit's state in dir's final status.
+func readFinalStatus(t *testing.T, dir string) map[string]sweepd.UnitState {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(dir, sweepd.MergedManifestName))
+	data, err := os.ReadFile(filepath.Join(dir, sweepd.FinalStatusName))
 	if err != nil {
-		t.Fatalf("merged manifest: %v", err)
+		t.Fatalf("final status: %v", err)
 	}
-	var doc struct {
-		Experiments map[string]struct{ Status string } `json:"experiments"`
+	var st sweepd.Status
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatalf("final status: %v", err)
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("merged manifest: %v", err)
+	state := map[string]sweepd.UnitState{}
+	for _, u := range st.Units {
+		state[string(u.Unit.ID)] = u.State
 	}
-	status := map[string]string{}
-	for id, e := range doc.Experiments {
-		status[id] = e.Status
-	}
-	return status
+	return state
 }
 
 // crashPath is where the coordinator keeps a unit's first crash
@@ -147,12 +144,12 @@ func TestChaosSweep(t *testing.T) {
 		t.Fatalf("summary missing from stderr:\n%s", log)
 	}
 
-	status := readMergedManifest(t, dir)
+	state := readFinalStatus(t, dir)
 	healthy := []string{"ok-a", "ok-b", "ok-c"}
 	failing := []string{"bad-panic", "bad-error", "bad-hang", "bad-spin"}
 	for _, id := range healthy {
-		if status[id] != "done" {
-			t.Errorf("%s: status %q, want done", id, status[id])
+		if state[id] != sweepd.UnitDone {
+			t.Errorf("%s: state %q, want done", id, state[id])
 		}
 		report, err := os.ReadFile(filepath.Join(out, id+".txt"))
 		if err != nil || !strings.Contains(string(report), "512 ticks") {
@@ -163,8 +160,8 @@ func TestChaosSweep(t *testing.T) {
 		}
 	}
 	for _, id := range failing {
-		if status[id] != "failed" {
-			t.Errorf("%s: status %q, want failed", id, status[id])
+		if state[id] != sweepd.UnitQuarantined {
+			t.Errorf("%s: state %q, want quarantined", id, state[id])
 		}
 		if _, err := os.Stat(sweepd.QuarantinePath(dir, sweepd.UnitID(id))); err != nil {
 			t.Errorf("%s: no quarantine artifact: %v", id, err)
@@ -324,7 +321,7 @@ func TestFinalStatusOnStateFS(t *testing.T) {
 	if code := runSweep(context.Background(), spec); code != exitOK {
 		t.Fatalf("sweep exited %d; stderr:\n%s", code, o.stderr)
 	}
-	data, err := mem.ReadFile(filepath.Join(o.artifacts, "status-final.json"))
+	data, err := mem.ReadFile(filepath.Join(o.artifacts, sweepd.FinalStatusName))
 	if err != nil || !strings.Contains(string(data), `"done": 1`) {
 		t.Fatalf("status-final.json on the state FS: %q, %v", data, err)
 	}

@@ -36,7 +36,7 @@ func serveCmd(args []string) int {
 		quick     = fs.Bool("quick", false, "reduced trial counts and sweep densities")
 		seed      = fs.Uint64("seed", experiments.DefaultOptions().Seed, "simulation seed")
 		replicas  = fs.Int("replicas", 1, "replicas per experiment (derived seeds)")
-		artifacts = fs.String("artifacts", "sweep-artifacts", "state dir: sweep state, results, crash and quarantine artifacts, merged manifest")
+		artifacts = fs.String("artifacts", "sweep-artifacts", "state dir: sweep state, results, crash and quarantine artifacts, final status")
 		resume    = fs.Bool("resume", false, "resume from the state dir; only unfinished and quarantined units run")
 
 		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "worker lease TTL (missed heartbeats past this reassign the unit)")

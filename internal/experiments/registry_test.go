@@ -1,18 +1,13 @@
-// Registry behavior, the whole-catalog golden test and the deadline
-// audit. This file is an external test package so it can drive the
-// registry through a sweep fleet (internal/sweepd) and internal/runner,
-// which import experiments, without a cycle.
+// Registry behavior and the deadline audit. This file is an external
+// test package so it can drive the registry through a sweep fleet
+// (internal/sweepd) and internal/runner, which import experiments,
+// without a cycle. The golden table is catalog_test.go.
 package experiments_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +16,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/sweepd"
-	"repro/internal/system"
 )
 
 func TestGetUnknownID(t *testing.T) {
@@ -63,91 +57,6 @@ func TestAllOrderingStable(t *testing.T) {
 			t.Errorf("duplicate experiment id %q", id)
 		}
 		seen[id] = true
-	}
-}
-
-// TestAllExperimentsRender pins every catalog report, byte for byte, to
-// testdata/golden_<id>_quick.txt. Each experiment runs once on fresh
-// machines, the experiments in parallel, and the whole catalog runs twice
-// more, in All() order, on one Pool shared by every experiment. The fresh
-// runs catch any behavioural drift (a reordered cohort, a float summed in
-// a different order, a skipped sample). The pooled rounds catch state
-// that Machine.Reset fails to restore (a stale ticker, a dirty cache set,
-// a leftover ratio limit), also when only another experiment's run leaves
-// it behind, and scratch state leaked between runs. The second pooled
-// round must find the pool exactly as the first left it: every machine a
-// run draws goes back through Release. -short keeps only the fresh runs.
-//
-// Regenerate (only for an intentional behaviour change) with
-//
-//	go run ./cmd/ufsim -experiment all -quick -out DIR
-//
-// and rename each DIR/<id>.txt to testdata/golden_<id>_quick.txt.
-func TestAllExperimentsRender(t *testing.T) {
-	goldens, err := filepath.Glob(filepath.Join("testdata", "golden_*_quick.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := map[string]bool{}
-	for _, path := range goldens {
-		golden[strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "golden_"), "_quick.txt")] = true
-	}
-	for _, e := range experiments.All() {
-		if !golden[e.ID] {
-			t.Errorf("experiment %q has no golden report", e.ID)
-		}
-		delete(golden, e.ID)
-	}
-	for id := range golden {
-		t.Errorf("golden report for unregistered experiment %q", id)
-	}
-	render := func(t *testing.T, e experiments.Experiment, run string, pool *system.Pool) {
-		t.Helper()
-		path := filepath.Join("testdata", "golden_"+e.ID+"_quick.txt")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := experiments.DefaultOptions()
-		opts.Quick, opts.Machines = true, pool
-		res, err := e.Run(opts)
-		if err != nil {
-			t.Errorf("%s %s run: %v", e.ID, run, err)
-			return
-		}
-		var got bytes.Buffer
-		if err := res.Render(&got); err != nil {
-			t.Errorf("%s %s run: render: %v", e.ID, run, err)
-		} else if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s %s run diverged from %s\n--- got ---\n%s\n--- want ---\n%s", e.ID, run, path, got.Bytes(), want)
-		}
-	}
-	if !testing.Short() {
-		// Registered before the fresh runs: the serial walk is the long
-		// pole.
-		t.Run("pooled", func(t *testing.T) {
-			t.Parallel()
-			pool := &system.Pool{}
-			idle := 0
-			for round := 0; round < 2; round++ {
-				for _, e := range experiments.All() {
-					render(t, e, fmt.Sprintf("pooled round %d", round), pool)
-				}
-				switch {
-				case pool.Size() == 0:
-					t.Errorf("pooled round %d: pool never received a released machine", round)
-				case round == 1 && pool.Size() != idle:
-					t.Errorf("pooled round 1 changed the idle pool from %d to %d machines", idle, pool.Size())
-				}
-				idle = pool.Size()
-			}
-		})
-	}
-	for _, e := range experiments.All() {
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			render(t, e, "fresh", nil)
-		})
 	}
 }
 

@@ -171,14 +171,26 @@ func (e *Engine) SetStepBudget(budget int64) { e.budget = budget }
 // Add registers a ticker. It panics on a non-positive period, because a
 // zero-period ticker would stall virtual time.
 //
-// Contract for mid-run additions: a ticker added from inside another
-// ticker's Fn joins the schedule once the current instant's dispatch
-// completes — it can never fire at the instant that registered it — and
-// its first tick is at now + Phase + Period, where now is the instant of
-// the registering tick.
+// Adding a ticker the engine already holds re-registers it: Add first
+// retracts it wherever it is — scheduled, pending, or in the cohort of
+// the instant being dispatched, fired or not — and clears its pause.
+// Either way its first tick is at now + Phase + Period, and it ties
+// behind every ticker registered before it.
+//
+// Contract for mid-run additions: a ticker added from inside a ticker's
+// Fn (its own included) joins the schedule once the current instant's
+// dispatch completes — it can never fire at the instant that registered
+// it — and now is the instant of the registering tick.
 func (e *Engine) Add(t *Ticker) {
 	if t.Period <= 0 {
 		panic(fmt.Sprintf("sim: ticker %q has non-positive period %v", t.Name, t.Period))
+	}
+	e.removeFromHeap(t)
+	e.removeFromPending(t)
+	for i, c := range e.cohort {
+		if c == t {
+			e.cohort[i] = nil
+		}
 	}
 	t.next = e.now + t.Phase + t.Period
 	t.seq = e.seq
@@ -415,19 +427,21 @@ func (e *Engine) runUntil(ctx context.Context, end Time) error {
 		e.cohort = cohort
 		e.firing = true
 		for _, t := range cohort {
-			if t.paused {
-				// Paused mid-instant by an earlier cohort member: the
-				// tick is retracted before it fires.
+			if t == nil || t.paused {
+				// Re-added or paused mid-instant by an earlier cohort
+				// member: the tick is retracted before it fires.
 				continue
 			}
-			t.Fn(at)
+			// Advanced before Fn runs, so an Add from inside Fn keeps
+			// the deadline it sets.
 			t.next = at + t.Period
+			t.Fn(at)
 			e.steps++
 			sinceCheck++
 		}
 		e.firing = false
 		for i, t := range cohort {
-			if !t.paused {
+			if t != nil && !t.paused {
 				e.push(t)
 			}
 			cohort[i] = nil

@@ -47,10 +47,25 @@ type engOp struct {
 	a, b, c byte
 }
 
+// engArity is how many of a, b, c each call reads.
+var engArity = [engKinds]int{opAdd: 3, opPause: 1, opResume: 1, opRun: 2, opRunUntil: 2, opBudget: 2, opBind: 1, opHook: 2}
+
+// decodeEngine reads one call per byte from the front of data and each
+// call's operands from the back, last byte first. A byte the fuzzer
+// inserts or deletes therefore adds or drops one call, or shifts the
+// operands, instead of misaligning every later call.
 func decodeEngine(data []byte) []engOp {
 	var ops []engOp
-	for i := 0; i+4 <= len(data) && len(ops) < engMaxOps; i += 4 {
-		ops = append(ops, engOp{engKind(data[i] % byte(engKinds)), data[i+1], data[i+2], data[i+3]})
+	end := len(data)
+	for i := 0; i < end && len(ops) < engMaxOps; i++ {
+		op := engOp{kind: engKind(data[i] % byte(engKinds))}
+		for _, arg := range []*byte{&op.a, &op.b, &op.c}[:engArity[op.kind]] {
+			if end > i+1 {
+				end--
+				*arg = data[end]
+			}
+		}
+		ops = append(ops, op)
 	}
 	return ops
 }
@@ -101,7 +116,8 @@ type refTicker struct {
 }
 
 // refEngine is the reference engine. It keeps a ticker's pause in the
-// ticker's own flag, which Paused reports, and all else in tk.
+// ticker's own flag, which Paused reports, and all else in tk. Add
+// replaces the ticker's record, which retracts it wherever it was held.
 type refEngine struct {
 	tk            map[*Ticker]*refTicker
 	seq           uint64
@@ -182,9 +198,9 @@ func (m *refEngine) runUntil(end Time) error {
 		})
 		m.at, m.firing = at, true
 		for _, t := range cohort {
-			if !t.paused {
+			if r := m.tk[t]; r.where == refCohort && !t.paused {
+				r.next = at + t.Period
 				t.Fn(at)
-				m.tk[t].next = at + t.Period
 				m.nsteps++
 				sinceCheck++
 			}
@@ -234,9 +250,8 @@ func (m *refEngine) NextDeadline() (next Time, ok bool) {
 
 // enginePlayer runs a script against one engine and records what it
 // observes. Calls the engine's contract leaves undefined are skipped,
-// identically for both engines: Add of a ticker that is still held (or
-// paused mid-instant), Pause/Resume of one not added since the last
-// Reset, and Run, RunUntil and Reset from inside a Fn.
+// identically for both engines: Pause/Resume of a ticker not added since
+// the last Reset, and Run, RunUntil and Reset from inside a Fn.
 type enginePlayer struct {
 	api    engineAPI
 	tk     [engSlots]*Ticker
@@ -275,9 +290,6 @@ func (p *enginePlayer) do(op engOp) error {
 	switch op.kind {
 	case opAdd:
 		t := p.tk[slot]
-		if p.added[slot] && (!t.Paused() || p.inFn > 0) {
-			return nil
-		}
 		p.added[slot] = true
 		t.Period, t.Phase, t.Priority = Time(op.b%16+1)*engUnit, Time(op.c%16)*engUnit, int(op.c>>4)%4-1
 		p.api.Add(t)
@@ -394,17 +406,21 @@ func on(slot, n int, call engOp) []engOp {
 
 // script encodes calls and on(...) pairs as FuzzEngine's input bytes.
 func script(parts ...any) []byte {
-	var data []byte
+	var calls, operands []byte
 	for _, p := range parts {
 		ops, ok := p.([]engOp)
 		if !ok {
 			ops = []engOp{p.(engOp)}
 		}
 		for _, op := range ops {
-			data = append(data, byte(op.kind), op.a, op.b, op.c)
+			calls = append(calls, byte(op.kind))
+			operands = append(operands, []byte{op.a, op.b, op.c}[:engArity[op.kind]]...)
 		}
 	}
-	return data
+	for i := len(operands) - 1; i >= 0; i-- {
+		calls = append(calls, operands[i])
+	}
+	return calls
 }
 
 // engineSeeds are the named seed scripts, keyed by the test that replays
@@ -458,6 +474,12 @@ var engineSeeds = map[string][]byte{
 		on(0, 1, pause(0)), on(1, 1, resume(0)), run(50)),
 	// Pausing a ticker added in the same instant: it never fires.
 	"TestEnginePausePendingAdd": script(add(0, 1, 0, 0), on(0, 1, add(1, 1, 0, 0)), on(0, 1, pause(1)), run(5)),
+	// Add re-registers a held ticker: it is retracted from this
+	// instant's cohort, paused or not, and fires once per instant from
+	// now+Phase+Period on, also when it re-adds itself from its Fn.
+	"TestEngineReAddPausedCohortMember": script(add(0, 10, 0, 0), add(1, 10, 0, 1),
+		on(0, 1, pause(1)), on(0, 1, add(1, 10, 0, 1)), run(30)),
+	"TestEngineAddSelfDuringTick": script(add(0, 10, 0, 0), on(0, 1, add(0, 3, 0, 0)), run(30)),
 	// Reset keeps a ticker's pause; a fresh Add clears it.
 	"TestEngineAddClearsPause": script(add(0, 10, 0, 0), pause(0), reset(), add(0, 10, 0, 0), run(10)),
 	// RunUntil between deadlines keeps the grid; only due ticks count.
@@ -499,6 +521,8 @@ func TestEnginePauseResumeSameInstant(t *testing.T)          { replayEngine(t) }
 func TestEngineResumeInOwnInstantSchedulesOnce(t *testing.T) { replayEngine(t) }
 func TestEnginePausePendingAdd(t *testing.T)                 { replayEngine(t) }
 func TestEngineAddClearsPause(t *testing.T)                  { replayEngine(t) }
+func TestEngineReAddPausedCohortMember(t *testing.T)         { replayEngine(t) }
+func TestEngineAddSelfDuringTick(t *testing.T)               { replayEngine(t) }
 func TestEngineRunUntilBetweenDeadlines(t *testing.T)        { replayEngine(t) }
 
 func TestEnginePanicsOnBadTicker(t *testing.T) {

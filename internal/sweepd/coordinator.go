@@ -49,9 +49,8 @@ type CoordinatorConfig struct {
 	Clock Clock
 	// StateDir, when non-empty, receives the crash-proof sweep state
 	// (journal-manifest.json naming the live snapshot-<gen>.json and
-	// journal-<gen>.wal), per-unit crash/quarantine artifacts, and the
-	// merged manifest (manifest.json). Empty keeps everything in
-	// memory.
+	// journal-<gen>.wal) and per-unit crash/quarantine artifacts. Empty
+	// keeps everything in memory.
 	StateDir string
 	// Resume replays StateDir's durable state (snapshot + journal) and
 	// keeps done outcomes whose unit grid matches. Quarantined units and
@@ -647,12 +646,7 @@ func (c *Coordinator) allTerminalLocked() bool {
 
 func (c *Coordinator) checkDoneLocked() {
 	if c.allTerminalLocked() {
-		c.doneOnce.Do(func() {
-			if err := c.writeManifestLocked(); err != nil {
-				fmt.Fprintf(c.cfg.Log, "sweepd: warning: merged manifest not written: %v\n", err)
-			}
-			close(c.doneCh)
-		})
+		c.doneOnce.Do(func() { close(c.doneCh) })
 	}
 }
 
@@ -742,7 +736,14 @@ func (c *Coordinator) Result(id UnitID) (string, bool) {
 	return r.result, true
 }
 
-// StatusJSON renders the snapshot, for the HTTP status endpoint.
+// FinalStatusName is the sweep's end-of-run record inside StateDir:
+// StatusJSON as the sweep ended, every unit's state plus the overload
+// counters, for operators and CI artifact uploads. The sweep's runner
+// writes it; resume never reads it.
+const FinalStatusName = "status-final.json"
+
+// StatusJSON renders the snapshot, for the HTTP status endpoint and the
+// final status.
 func (c *Coordinator) StatusJSON() ([]byte, error) {
 	return json.MarshalIndent(c.Snapshot(), "", "  ")
 }

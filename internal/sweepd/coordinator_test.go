@@ -2,9 +2,6 @@ package sweepd
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -66,11 +63,10 @@ func unitState(t *testing.T, c *Coordinator, id UnitID) UnitStatus {
 }
 
 // TestDrainStopsLeasing: draining refuses new grants while letting the
-// in-flight completion land, and WriteManifest records the terminal mix.
+// in-flight completion land, and the unleased unit stays pending.
 func TestDrainStopsLeasing(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	dir := t.TempDir()
-	c := newTestCoordinator(t, clk, func(cfg *CoordinatorConfig) { cfg.StateDir = dir }, testUnits(2))
+	c := newTestCoordinator(t, clk, nil, testUnits(2))
 
 	lu := leaseOne(t, c, "w")
 	c.Drain()
@@ -83,14 +79,10 @@ func TestDrainStopsLeasing(t *testing.T) {
 	if !c.Quiesced() {
 		t.Fatal("not quiesced after the only lease completed")
 	}
-	c.WriteManifest()
-	data, err := os.ReadFile(filepath.Join(dir, MergedManifestName))
-	if err != nil {
-		t.Fatalf("merged manifest: %v", err)
+	if got := unitState(t, c, "u00").State; got != UnitDone {
+		t.Errorf("u00 %s, want done", got)
 	}
-	for _, want := range []string{`"u00"`, `"done"`, `"u01"`, `"skipped"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("manifest missing %s:\n%s", want, data)
-		}
+	if got := unitState(t, c, "u01").State; got != UnitPending {
+		t.Errorf("u01 %s, want pending", got)
 	}
 }

@@ -95,9 +95,9 @@ func Fsck(fsys vfs.FS, dir string) (FsckReport, error) {
 		switch {
 		case name == JournalManifestName || name == SalvageName:
 			// Handled above (salvage just below).
-		case name == MergedManifestName:
+		case name == FinalStatusName:
 			if !jsonParses(fsys, path) {
-				rep.corruptf("merged manifest %s does not parse", path)
+				rep.corruptf("final status %s does not parse", path)
 			}
 		case strings.HasPrefix(name, "snapshot-") || strings.HasPrefix(name, "journal-"):
 			if rep.Journaled && name != snapshotFileName(rep.Generation) && name != journalFileName(rep.Generation) {

@@ -261,9 +261,12 @@ func (m *coordModel) snapshot(now time.Time) Status {
 }
 
 // Script layout: a 4-byte header — units, QuarantineAfter,
-// ExpiryBudget, disk — then 4-byte calls {kind, a, b, c}. An odd disk
-// byte injects write, short-write, fsync and rename faults, each with
-// probability ((disk>>1)%8+1)/16, seeded by disk>>4.
+// ExpiryBudget, disk — then one call kind per byte from the front and
+// each call's operands (coordArity of a, b, c) from the back, last byte
+// first, so a byte the fuzzer inserts or deletes adds or drops one call,
+// or shifts the operands, instead of misaligning every later call. An
+// odd disk byte injects write, short-write, fsync and rename faults,
+// each with probability ((disk>>1)%8+1)/16, seeded by disk>>4.
 const (
 	coordMaxOps = 48
 	coordHeader = 4
@@ -288,6 +291,25 @@ var workers = []string{"w0", "w1", "w2", "w3"}
 type coordOp struct {
 	kind    coordKind
 	a, b, c byte
+}
+
+var coordArity = [coordKinds]int{cLease: 2, cHeartbeat: 3, cComplete: 3, cRelease: 3, cAdvance: 2, cRestart: 1, cDisk: 1}
+
+// decodeCoord reads the calls that follow a script's header.
+func decodeCoord(data []byte) []coordOp {
+	var ops []coordOp
+	end := len(data)
+	for i := 0; i < end && len(ops) < coordMaxOps; i++ {
+		op := coordOp{kind: coordKind(data[i] % byte(coordKinds))}
+		for _, arg := range []*byte{&op.a, &op.b, &op.c}[:coordArity[op.kind]] {
+			if end > i+1 {
+				end--
+				*arg = data[end]
+			}
+		}
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 type grant struct {
@@ -348,8 +370,8 @@ func newCoordHarness(t *testing.T, header []byte) *coordHarness {
 func (h *coordHarness) play(data []byte) {
 	h.t.Helper()
 	h.open(h.grids[0], false)
-	for i, n := coordHeader, 0; i+4 <= len(data) && n < coordMaxOps; i, n = i+4, n+1 {
-		h.step(coordOp{coordKind(data[i] % byte(coordKinds)), data[i+1], data[i+2], data[i+3]})
+	for _, op := range decodeCoord(data[coordHeader:]) {
+		h.step(op)
 	}
 }
 
@@ -599,8 +621,13 @@ func FuzzCoordinator(f *testing.F) {
 // leases return them.
 func coordScript(units, quarantineAfter, expiryBudget int, ops ...coordOp) []byte {
 	data := []byte{byte(units - 1), byte(quarantineAfter - 1), byte(expiryBudget - 1), 0}
+	var operands []byte
 	for _, op := range ops {
-		data = append(data, byte(op.kind), op.a, op.b, op.c)
+		data = append(data, byte(op.kind))
+		operands = append(operands, []byte{op.a, op.b, op.c}[:coordArity[op.kind]]...)
+	}
+	for i := len(operands) - 1; i >= 0; i-- {
+		data = append(data, operands[i])
 	}
 	return data
 }

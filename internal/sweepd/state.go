@@ -261,72 +261,3 @@ func (c *Coordinator) writeQuarantineLocked(r *unitRecord) {
 		fmt.Fprintf(c.cfg.Log, "sweepd: warning: %s quarantine artifact not written: %v\n", r.unit.ID, err)
 	}
 }
-
-// MergedManifestName is the merged manifest's filename inside StateDir.
-const MergedManifestName = "manifest.json"
-
-// mergedEntry and mergedManifest are the merged manifest: one
-// human-readable verdict per unit (done, failed, or skipped), for
-// operators and CI artifact uploads. Resume reads the journal, never
-// this file.
-type mergedEntry struct {
-	Status     string `json:"status"`
-	Seed       uint64 `json:"seed"`
-	Attempts   int    `json:"attempts"`
-	DurationMS int64  `json:"duration_ms"`
-	Error      string `json:"error,omitempty"`
-	Artifact   string `json:"artifact,omitempty"`
-}
-
-type mergedManifest struct {
-	Seed        uint64                 `json:"seed"`
-	Quick       bool                   `json:"quick"`
-	Experiments map[string]mergedEntry `json:"experiments"`
-}
-
-// writeManifestLocked writes the merged manifest: every unit's
-// outcome. Called when the sweep completes and again at drain, always
-// atomically.
-func (c *Coordinator) writeManifestLocked() error {
-	if c.cfg.StateDir == "" || len(c.order) == 0 {
-		return nil
-	}
-	first := c.units[c.order[0]].unit
-	doc := mergedManifest{Seed: first.Seed, Quick: first.Quick, Experiments: map[string]mergedEntry{}}
-	for _, id := range c.sortedIDs() {
-		r := c.units[id]
-		e := mergedEntry{Seed: r.unit.Seed, Attempts: r.attempts, DurationMS: r.durationMS}
-		switch r.state {
-		case UnitDone:
-			e.Status = "done"
-		case UnitQuarantined:
-			// A quarantined unit resumes as pending (applyEntriesLocked).
-			e.Status = "failed"
-			e.Error = "quarantined: " + r.quarantine
-			e.Artifact = QuarantinePath(c.cfg.StateDir, id)
-			if len(r.failures) > 0 {
-				e.Attempts = len(r.failures)
-			}
-		default:
-			e.Status = "skipped"
-			e.Error = "sweep drained before the unit ran"
-		}
-		doc.Experiments[string(id)] = e
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return vfs.WriteFileAtomic(c.cfg.FS, filepath.Join(c.cfg.StateDir, MergedManifestName), func(w io.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
-	})
-}
-
-// WriteManifest forces the merged manifest out now (used at drain, when
-// the sweep may not be complete).
-func (c *Coordinator) WriteManifest() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeManifestLocked()
-}

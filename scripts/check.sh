@@ -17,8 +17,9 @@ echo "== go vet"
 go vet ./...
 
 echo "== go test -race"
-# The experiments package replays every paper artefact; under the race
-# detector that legitimately exceeds go test's default 10m budget.
+# The experiments package runs the quick catalog once and the four
+# full-mode paper rows; under the race detector that takes ~8.5 min on a
+# 2-vCPU VM, too close to go test's default 10m budget.
 go test -race -timeout=45m ./...
 
 echo "== ok"
