@@ -44,6 +44,20 @@ func machineQuantum(tb testing.TB) func() {
 	return func() { m.Run(q) }
 }
 
+// sparseQuantum is one quantum of a single traffic thread on the 32-core
+// machine, the shape of the §3 characterisation trials, where most cores
+// sit idle. The step runs the engine, not Machine.Run, so it is the
+// quantum tick alone, as inside a long Run: Machine.Run would add its
+// closing idle catch-up over every core.
+func sparseQuantum(tb testing.TB) func() {
+	m := system.New(system.DefaultConfig())
+	slice, _ := m.Socket(0).Die.SliceAtHops(0, 1)
+	m.Spawn("bench-traffic", 0, 0, 0, &workload.Traffic{Slice: slice})
+	m.Run(20 * sim.Millisecond)
+	q := m.Config().Quantum
+	return func() { m.Engine().Run(q) }
+}
+
 // machineEpoch is one full governor epoch of the busy machine.
 func machineEpoch(tb testing.TB) func() {
 	m := busyMachine(tb)
@@ -120,6 +134,7 @@ func TestZeroAlloc(t *testing.T) {
 		setup func(testing.TB) func()
 	}{
 		{"machine-quantum", machineQuantum},
+		{"machine-quantum-sparse", sparseQuantum},
 		{"machine-epoch", machineEpoch},
 		{"machine-epoch-idle", idleEpoch(true)},
 		{"machine-epoch-idle-stepped", idleEpoch(false)},
@@ -146,6 +161,7 @@ func loop(b *testing.B, setup func(testing.TB) func()) {
 }
 
 func BenchmarkMachineQuantum(b *testing.B)          { loop(b, machineQuantum) }
+func BenchmarkMachineQuantumSparse(b *testing.B)    { loop(b, sparseQuantum) }
 func BenchmarkMachineEpoch(b *testing.B)            { loop(b, machineEpoch) }
 func BenchmarkMachineEpochIdle(b *testing.B)        { loop(b, idleEpoch(true)) }
 func BenchmarkMachineEpochIdleStepped(b *testing.B) { loop(b, idleEpoch(false)) }

@@ -150,12 +150,12 @@ type Socket struct {
 	// quantumPower is the current draw registered so far this quantum.
 	quantumPower float64
 
-	// busy is the per-quantum active-core scratch, indexed by core ID and
-	// cleared at the top of every quantum; peerFreqs is the reused backing
-	// array for EpochStats.PeerFreqs (the governor only reads it during
-	// Tick). Both exist so the per-quantum and per-epoch paths allocate
-	// nothing in steady state.
-	busy      []bool
+	// idleFrom is, per core ID, the end of the last quantum the core was
+	// active in: its idle time since then is applied lazily by
+	// Machine.catchUpIdle. peerFreqs is the reused backing array for
+	// EpochStats.PeerFreqs (the governor only reads it during Tick), so
+	// the per-epoch path allocates nothing in steady state.
+	idleFrom  []sim.Time
 	peerFreqs []sim.Freq
 }
 
@@ -201,11 +201,13 @@ type Machine struct {
 	// skipAhead enables quantum elision: when a quantum finds no runnable
 	// thread, the quantum ticker is paused and the engine jumps straight
 	// between the remaining deadlines (governor epochs, samplers) until a
-	// Spawn or SetWorkload re-arms it. idleDoneAt is the instant through
-	// which per-core idle bookkeeping has been applied while de-armed;
-	// catchUpIdle batches the elided quanta's RecordIdle calls from there.
-	skipAhead  bool
+	// Spawn or SetWorkload re-arms it.
+	skipAhead bool
+	// idleDoneAt is the quantum boundary through which every core's idle
+	// bookkeeping has been applied; catchUpIdle applies the rest. walking
+	// is set while stepQuantum steps threads, whose quantum is not over.
 	idleDoneAt sim.Time
+	walking    bool
 }
 
 // SetFaults installs (or, with nil, removes) the machine-level fault
@@ -247,7 +249,7 @@ func New(cfg Config) *Machine {
 			s.Cores = append(s.Cores, core)
 			s.coreCaches = append(s.coreCaches, s.Hier.NewCore())
 		}
-		s.busy = make([]bool, len(s.Cores))
+		s.idleFrom = make([]sim.Time, len(s.Cores))
 		s.peerFreqs = make([]sim.Freq, 0, len(cfg.Dies)-1)
 		m.sockets = append(m.sockets, s)
 	}
@@ -307,14 +309,14 @@ func (m *Machine) Reset(seed uint64) {
 			c.Reset()
 			c.Freq = m.cfg.CoreFreq
 		}
-		clear(s.busy)
+		clear(s.idleFrom)
 		s.peerFreqs = s.peerFreqs[:0]
 		s.epochLLC, s.epochPressure = 0, 0
 		s.quantumPower = 0
 	}
 	m.engine.Add(&m.quantumTick)
 	m.engine.Add(&m.epochTick)
-	m.idleDoneAt = 0
+	m.idleDoneAt, m.walking = 0, false
 }
 
 // Config returns the machine configuration.
@@ -341,7 +343,7 @@ func (m *Machine) Socket(i int) *Socket { return m.sockets[i] }
 func (m *Machine) Run(d sim.Time) {
 	m.engine.Run(d)
 	// Callers inspect platform state (C-states, wake latency inputs)
-	// between runs; bring the elided idle bookkeeping up to date first.
+	// between runs; bring the idle bookkeeping up to date first.
 	m.catchUpIdle(m.engine.Now())
 }
 
@@ -376,10 +378,9 @@ func (m *Machine) anyRunnable() bool {
 }
 
 // rearmQuantum resumes the quantum ticker after an elided idle stretch,
-// first applying the batched idle bookkeeping for the quanta that were
-// skipped. The ticker resumes on its original grid, so post-wake quanta
-// stay aligned to multiples of cfg.Quantum and the inTail/epoch phase
-// arithmetic is unchanged.
+// first bringing the idle bookkeeping up to date. The ticker resumes on
+// its original grid, so post-wake quanta stay aligned to multiples of
+// cfg.Quantum and the inTail/epoch phase arithmetic is unchanged.
 func (m *Machine) rearmQuantum() {
 	if !m.quantumTick.Paused() {
 		return
@@ -388,24 +389,27 @@ func (m *Machine) rearmQuantum() {
 	m.engine.Resume(&m.quantumTick)
 }
 
-// catchUpIdle applies the per-core idle accounting an elided stretch
-// would have accumulated quantum-by-quantum, in one batched span per
-// core. It advances through the last quantum boundary at or before now:
-// a boundary tick at exactly `now` has already fired in stepped mode
-// before any external observer runs, so inclusive alignment reproduces
-// stepped state exactly. No-op while the quantum ticker is armed.
+// catchUpIdle applies the idle time every core has accumulated since
+// idleDoneAt, or since the end of its last active quantum if later, in one
+// span per core: the C-state ladder is a pure function of accumulated
+// idle time, so this equals one RecordIdleSpan per idle quantum. It
+// advances through the last quantum boundary at or before now, whose tick
+// has already fired before any observer outside the walk runs. From
+// inside a Step it stops at the previous boundary: this quantum's idle
+// cores are only known once every thread has stepped.
 func (m *Machine) catchUpIdle(now sim.Time) {
-	if !m.quantumTick.Paused() {
-		return
-	}
 	to := now - now%m.cfg.Quantum
+	if m.walking {
+		to -= m.cfg.Quantum
+	}
 	if to <= m.idleDoneAt {
 		return
 	}
-	d := to - m.idleDoneAt
 	for _, s := range m.sockets {
-		for _, c := range s.Cores {
-			c.RecordIdleSpan(d)
+		for i, c := range s.Cores {
+			if d := to - max(m.idleDoneAt, s.idleFrom[i]); d > 0 {
+				c.RecordIdleSpan(d)
+			}
 		}
 	}
 	m.idleDoneAt = to
@@ -581,9 +585,7 @@ func (m *Machine) stepQuantum(now sim.Time) {
 		s.quantumPower = 0
 	}
 	tail := m.inTail(now)
-	for _, s := range m.sockets {
-		clear(s.busy)
-	}
+	m.walking = true
 	for _, t := range m.threads {
 		if t.stopped || t.w == nil {
 			continue
@@ -605,7 +607,7 @@ func (m *Machine) stepQuantum(now sim.Time) {
 			act = t.step(now, gap)
 		}
 		if act.Active {
-			t.Sock.busy[t.Core.ID] = true
+			t.Sock.idleFrom[t.Core.ID] = now
 			t.Core.RecordActive(m.cfg.Quantum, cpu.Counters{
 				Cycles:      act.Cycles,
 				StallCycles: act.StallCycles,
@@ -618,13 +620,7 @@ func (m *Machine) stepQuantum(now sim.Time) {
 		}
 		t.Sock.quantumPower += act.PowerUnits
 	}
-	for _, s := range m.sockets {
-		for i, c := range s.Cores {
-			if !s.busy[i] {
-				c.RecordIdle(m.cfg.Quantum)
-			}
-		}
-	}
+	m.walking = false
 	if m.skipAhead && !m.anyRunnable() {
 		// Provably inert: nothing can generate activity until a Spawn or
 		// SetWorkload (the wake sources) re-arms us. A quantum with no
@@ -633,7 +629,6 @@ func (m *Machine) stepQuantum(now sim.Time) {
 		// sampler observes mid-skip is exactly the stepped-mode state.
 		// The epoch ticker stays armed: governor epochs (and their rng
 		// draws) must keep firing in order.
-		m.idleDoneAt = now
 		m.engine.Pause(&m.quantumTick)
 	}
 }
@@ -672,9 +667,9 @@ func (t *Thread) step(now, gap sim.Time) Activity {
 // activity. Sockets tick in ID order; each sees the others' most recent
 // frequency, producing the one-step-behind coupling of §3.4.
 func (m *Machine) stepEpoch(now sim.Time) {
-	// Under an idle skip the per-quantum RecordIdle calls were elided;
-	// apply them in one batch so MinCState (and thus the package C-state
-	// decision below) sees the same demotion ladder as stepped mode.
+	// Bring every core's idle bookkeeping up to date so MinCState (and
+	// thus the package C-state decision below) sees the demotion ladder
+	// as of this epoch's last quantum.
 	m.catchUpIdle(now)
 	window := m.cfg.UFS.TailWindow
 	if window <= 0 || window > m.cfg.UFS.Epoch {
@@ -755,7 +750,7 @@ func (m *Machine) PlatformIdle() bool {
 // the uncore's package C-state exit latency, and the platform deep-idle
 // exit when the whole machine had gone quiet.
 func (m *Machine) WakeLatency(socket, core int, rng *sim.Rand) sim.Time {
-	// The core C-state read below must reflect any elided idle stretch.
+	// The core C-state read below must reflect the idle time so far.
 	m.catchUpIdle(m.engine.Now())
 	s := m.sockets[socket]
 	lat := s.Cores[core].CState.ExitLatency() + s.Gov.PC().ExitLatency()
